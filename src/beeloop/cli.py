@@ -13,8 +13,6 @@ from pathlib import Path
 
 from . import config as config_mod
 from .control import (
-    classify_regions,
-    extract_features,
     synthetic_region_sample,
     train_softmax,
     write_labels_csv,
@@ -22,7 +20,7 @@ from .control import (
 )
 from .errors import MissingArtifactsError, SimError
 from .foraging import run_season, write_season_csv, write_totals
-from .landscape import derive_patches, load_map, tile_regions, with_artificial, write_foodflow
+from .landscape import derive_patches, load_map, write_foodflow
 from .metrics import compare, write_comparison_csv
 from .monitor import (
     MonitorSample,
@@ -33,9 +31,8 @@ from .monitor import (
     split_samples,
 )
 from .rng import derive_seed
-from .scouting import run_scouting, write_coverage_csv, write_trajectories_csv
+from .scouting import write_coverage_csv, write_trajectories_csv
 from .supervisor import run_fi_loop, write_fi_plan_csv, write_loop_trace_csv
-from .weather import foraging_hours
 
 SOFTMAX_TRAIN_SIZE = 600
 TEST_FRACTION = 0.2
@@ -54,21 +51,6 @@ def _build_classifier(scenario):
     return train_softmax(sample, derive_seed(scenario.seed, "classifier"))
 
 
-def _dump_first_refresh_paths(scenario, grid, patches, weather, out: Path) -> None:
-    """Re-run the season's first active scouting refresh, capturing paths."""
-    start, end = scenario.colony.season
-    hours = 0.0
-    for day in range(start, end + 1, scenario.settings.scout_cadence_days):
-        hours = foraging_hours(weather.day(day), None, scenario.settings.base_cap_h)
-        if hours > 0:
-            break
-    report = run_scouting(
-        grid, patches, scenario.scout, hours,
-        derive_seed(scenario.seed, "scout"), collect_trajectories=True,
-    )
-    write_trajectories_csv(out / "paths.csv", report)
-
-
 def cmd_baseline(scenario, dump_paths: bool = False) -> int:
     grid = load_map(scenario.map_path)
     patches = derive_patches(grid, scenario.patch_params)
@@ -76,7 +58,7 @@ def cmd_baseline(scenario, dump_paths: bool = False) -> int:
     season = run_season(
         grid, patches, weather, None, scenario.colony,
         scenario.settings.scout_cadence_days, scenario.scout, scenario.seed,
-        scenario.settings.base_cap_h,
+        scenario.settings.base_cap_h, collect_trajectories=dump_paths,
     )
     out = scenario.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -85,7 +67,7 @@ def cmd_baseline(scenario, dump_paths: bool = False) -> int:
     write_foodflow(out / "foodflow.csv", patches)
     write_coverage_csv(out / "coverage.csv", season.scout_report)
     if dump_paths:
-        _dump_first_refresh_paths(scenario, grid, patches, weather, out)
+        write_trajectories_csv(out / "paths.csv", season.first_refresh_paths)
     return 0
 
 
@@ -96,9 +78,8 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
     plan, trace, baseline, final = run_fi_loop(
         grid, weather, scenario.colony, scenario.scout, classifier,
         scenario.user_cfg, scenario.seed, scenario.settings,
+        collect_trajectories=dump_paths,
     )
-    final_grid = with_artificial(grid, [p.cell for p in plan.placed_patches])
-    final_patches = derive_patches(final_grid, scenario.patch_params)
 
     out = scenario.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -108,7 +89,7 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
     write_season_csv(out / "season_fi.csv", final)
     write_totals(out / "totals_fi.json", final.totals)
     write_coverage_csv(out / "coverage_fi.csv", final.scout_report)
-    write_foodflow(out / "foodflow_fi.csv", final_patches)
+    write_foodflow(out / "foodflow_fi.csv", plan.final_patches)
     write_fi_plan_csv(out / "fi_plan.csv", plan)
     write_proposals_csv(out / "placed_patches.csv", list(plan.placed_patches))
     write_loop_trace_csv(out / "loop_trace.csv", trace)
@@ -116,17 +97,9 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
         out / "comparison.csv",
         compare(baseline, final, scenario.user_cfg.w1, scenario.user_cfg.w2),
     )
-    tiling = tile_regions(
-        final_grid, scenario.settings.region_rows, scenario.settings.region_cols
-    )
-    feats = extract_features(final.scout_report.coverage, tiling, final_grid)
-    labels = classify_regions(classifier, feats)
-    write_labels_csv(
-        out / "region_labels.csv", [(f, labels[f.region_id]) for f in feats]
-    )
+    write_labels_csv(out / "region_labels.csv", plan.region_labels)
     if dump_paths:
-        patches = derive_patches(grid, scenario.patch_params)
-        _dump_first_refresh_paths(scenario, grid, patches, weather, out)
+        write_trajectories_csv(out / "paths.csv", baseline.first_refresh_paths)
     return 0
 
 

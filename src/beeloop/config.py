@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .control import CoverageLabel, PlacementPolicy, ThresholdClassifier
-from .errors import ConfigError, MapNotFoundError, WeatherNotFoundError
+from .errors import ConfigError, MapNotFoundError, OutOfRangeValueError, WeatherNotFoundError
 from .foraging import ColonyParams
 from .landscape import PatchParams
 from .scouting import ScoutParams
@@ -228,7 +228,8 @@ def _build_scenario(values, map_path, weather_source, weather_file,
     seed = g(values, "scenario", "seed", 42, int)
     if seed_override is not None:
         seed = seed_override
-    seed &= (1 << 64) - 1
+    if not 0 <= seed < 1 << 64:
+        raise OutOfRangeValueError(f"seed must be in [0, 2**64), got {seed}")
     # input paths resolve against the config; the output directory resolves
     # against the invocation directory so bundled configs stay read-only
     out = g(values, "scenario", "out", "runs/out", str)

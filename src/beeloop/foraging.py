@@ -16,7 +16,7 @@ walk rather than re-rolling it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,9 @@ class SeasonRecord:
     totals: SeasonTotals
     scout_report: ScoutReport  # merged over the season's refreshes
     coverage_by_day: dict[int, tuple[int, float]]  # day -> (found patches, covered fraction)
+    # (n_scouts, steps, 2) walk of the first refresh with foraging hours, or
+    # zero steps if there is none; only set when trajectories are collected.
+    first_refresh_paths: np.ndarray | None = field(default=None, compare=False)
 
 
 def simulate_day(
@@ -162,13 +165,16 @@ def run_season(
     scout_params: ScoutParams,
     seed: int,
     cap_hours: float = 9.0,
+    collect_trajectories: bool = False,
 ) -> SeasonRecord:
     """Simulate the season window day by day.
 
     Scouting refreshes on the first day and every cadence days after. All
     refreshes share one walk seed, so a refresh with h hours yields the
     h-hour prefix of the season's walk; the merged report over refreshes is
-    therefore exactly the sum of those prefixes.
+    therefore exactly the sum of those prefixes. With
+    ``collect_trajectories`` the record also carries the paths of the first
+    refresh whose day has foraging hours.
     """
     if scout_cadence_days < 1:
         raise ValueError("scout_cadence_days must be >= 1")
@@ -177,20 +183,26 @@ def run_season(
     refresh_days = season_days[::scout_cadence_days]
 
     scout_seed = derive_seed(seed, "scout")
+    hours_by_day = {d: foraging_hours(weather.day(d), ctrl, cap_hours) for d in refresh_days}
     steps_by_day = {
-        d: int(
-            round(
-                foraging_hours(weather.day(d), ctrl, cap_hours) * scout_params.steps_per_hour
-            )
-        )
-        for d in refresh_days
+        d: int(round(h * scout_params.steps_per_hour)) for d, h in hours_by_day.items()
     }
     checkpoints = sorted(set(steps_by_day.values()))
     if checkpoints:
-        reports = simulate_at_checkpoints(grid, patches, scout_params, checkpoints, scout_seed)
+        reports = simulate_at_checkpoints(
+            grid, patches, scout_params, checkpoints, scout_seed, collect_trajectories
+        )
         report_at = dict(zip(checkpoints, reports))
     else:
         report_at = {}
+    first_refresh_paths = None
+    if collect_trajectories:
+        first = next((d for d in refresh_days if hours_by_day[d] > 0), None)
+        first_refresh_paths = (
+            np.zeros((scout_params.n_scouts, 0, 2))
+            if first is None
+            else report_at[steps_by_day[first]].trajectories
+        )
 
     merged = empty_report(grid, len(patches))
     by_id = {p.id: p for p in patches}
@@ -226,6 +238,7 @@ def run_season(
         totals=aggregate_totals(days, merged, patches),
         scout_report=merged,
         coverage_by_day=coverage_by_day,
+        first_refresh_paths=first_refresh_paths,
     )
 
 

@@ -183,9 +183,10 @@ def simulate_at_checkpoints(
         np.zeros((n, total_steps, 2), dtype=np.float64) if collect_trajectories else None
     )
 
+    # Trajectory snapshots are views: the walk never rewrites a past step.
     snapshots: dict[int, ScoutReport] = {}
     if 0 in order:
-        traj0 = trajectories[:, :0, :].copy() if trajectories is not None else None
+        traj0 = trajectories[:, :0] if trajectories is not None else None
         snapshots[0] = _make_report(
             coverage.copy(), detected, n_patches, traversable, traj0
         )
@@ -265,7 +266,7 @@ def simulate_at_checkpoints(
         target[active & (dwell <= 0)] = -1
 
         if step in wanted:
-            traj = trajectories[:, :step, :].copy() if trajectories is not None else None
+            traj = trajectories[:, :step] if trajectories is not None else None
             snapshots[step] = _make_report(
                 coverage.copy(), set(detected), n_patches, traversable, traj
             )
@@ -312,13 +313,12 @@ def write_coverage_csv(path, report: ScoutReport) -> None:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def write_trajectories_csv(path, report: ScoutReport) -> None:
-    if report.trajectories is None:
-        raise ValueError("report has no trajectories; run with collect_trajectories")
+def write_trajectories_csv(path, trajectories: np.ndarray) -> None:
+    """Write (n_scouts, steps, 2) cell coordinates, one row per scout step."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("scout_id,step,x,y\n")
-        n, steps, _ = report.trajectories.shape
+        n, steps, _ = trajectories.shape
         for i in range(n):
             for t in range(steps):
-                x, y = report.trajectories[i, t]
+                x, y = trajectories[i, t]
                 fh.write(f"{i},{t + 1},{x!r},{y!r}\n")

@@ -22,6 +22,7 @@ from .control import (
     CoverageLabel,
     PatchProposal,
     PlacementPolicy,
+    RegionFeatures,
     classify_regions,
     extract_features,
     propose_patches,
@@ -31,6 +32,7 @@ from .foraging import ColonyParams, SeasonRecord, run_season
 from .landscape import (
     CROP,
     CellGrid,
+    Patch,
     PatchParams,
     RegionTiling,
     derive_patches,
@@ -111,6 +113,10 @@ class FiPlan:
     env_control: EnvControl
     iterations_used: int
     final_loss: float
+    # The final landscape's patches and (features, label) per region, as the
+    # loop derived them when it accepted its last iteration.
+    final_patches: tuple[Patch, ...]
+    region_labels: tuple[tuple[RegionFeatures, CoverageLabel], ...]
 
 
 def coverage_loss(
@@ -187,15 +193,19 @@ def run_fi_loop(
     cfg: UserConfig,
     seed: int,
     settings: LoopSettings = LoopSettings(),
+    collect_trajectories: bool = False,
 ) -> tuple[FiPlan, LoopTrace, SeasonRecord, SeasonRecord]:
-    """Run the full loop; returns (plan, trace, baseline season, final season)."""
+    """Run the full loop; returns (plan, trace, baseline season, final season).
+
+    ``collect_trajectories`` is passed to the baseline season only.
+    """
     window = colony.season
     tiling = tile_regions(grid, settings.region_rows, settings.region_cols)
     patches = derive_patches(grid, settings.patch_params)
 
     baseline = run_season(
         grid, patches, weather, None, colony, settings.scout_cadence_days,
-        scout_params, seed, settings.base_cap_h,
+        scout_params, seed, settings.base_cap_h, collect_trajectories,
     )
 
     feats = extract_features(baseline.scout_report.coverage, tiling, grid)
@@ -205,20 +215,23 @@ def run_fi_loop(
     labels = classify_regions(classifier, feats)
     best_loss = coverage_loss(labels, required)
 
-    samples = [
-        MonitorSample(
-            day_features(weather.day(d.day), None, settings.base_cap_h),
-            float(sum(d.visits_per_patch.values())),
+    def choose_control(season: SeasonRecord, ctrl: EnvControl | None) -> EnvControl | None:
+        """Fit the monitor on a season run under ``ctrl``; pick the next control."""
+        cap = settings.base_cap_h if ctrl is None else settings.fi_cap_h
+        samples = [
+            MonitorSample(
+                day_features(weather.day(d.day), ctrl, cap),
+                float(sum(d.visits_per_patch.values())),
+            )
+            for d in season.days
+        ]
+        best = optimize_env_control(
+            fit(samples), weather, window, settings.bounds, settings.control_grid_steps,
+            settings.fi_cap_h,
         )
-        for d in baseline.days
-    ]
-    model = fit(samples)
-    ctrl = optimize_env_control(
-        model, weather, window, settings.bounds, settings.control_grid_steps,
-        settings.fi_cap_h,
-    )
-    ctrl = replace(ctrl, active_window=window)
-    ctrl_eff = _effective(ctrl)
+        return _effective(best)
+
+    ctrl_eff = choose_control(baseline, None)
 
     mean_crop_nectar = (
         sum(p.nectar_quantity for p in patches if not p.artificial)
@@ -232,6 +245,7 @@ def run_fi_loop(
     )
 
     grid_cur = grid
+    patches_cur = patches
     season_cur = baseline
     placed: list[PatchProposal] = []
     steps: list[LoopStep] = []
@@ -241,21 +255,7 @@ def run_fi_loop(
         if best_loss <= cfg.loss_tolerance:
             break
         if settings.refit_monitor_each_iteration and season_cur is not baseline:
-            cap_cur = settings.base_cap_h if accepted_ctrl is None else settings.fi_cap_h
-            model = fit(
-                [
-                    MonitorSample(
-                        day_features(weather.day(d.day), accepted_ctrl, cap_cur),
-                        float(sum(d.visits_per_patch.values())),
-                    )
-                    for d in season_cur.days
-                ]
-            )
-            ctrl = optimize_env_control(
-                model, weather, window, settings.bounds,
-                settings.control_grid_steps, settings.fi_cap_h,
-            )
-            ctrl_eff = _effective(replace(ctrl, active_window=window))
+            ctrl_eff = choose_control(season_cur, accepted_ctrl)
         remaining = cfg.max_artificial_patches - len(placed)
         labeled = [(f, labels[f.region_id]) for f in feats]
         proposals = propose_patches(
@@ -279,6 +279,7 @@ def run_fi_loop(
         if cand_loss >= best_loss:
             break  # roll back this iteration's patches and stop
         grid_cur = cand_grid
+        patches_cur = cand_patches
         season_cur = cand_season
         feats, labels = cand_feats, cand_labels
         best_loss = cand_loss
@@ -299,6 +300,8 @@ def run_fi_loop(
         env_control=accepted_ctrl if accepted_ctrl is not None else EnvControl(0.0, 0.0, window),
         iterations_used=len(steps),
         final_loss=best_loss,
+        final_patches=tuple(patches_cur),
+        region_labels=tuple((f, labels[f.region_id]) for f in feats),
     )
     return plan, LoopTrace(tuple(steps)), baseline, season_cur
 

@@ -210,3 +210,44 @@ def test_dump_paths_flag(tmp_path):
     paths = (out / "paths.csv").read_text().splitlines()
     assert paths[0] == "scout_id,step,x,y"
     assert len(paths) > 1
+
+
+def test_dump_paths_is_the_baseline_first_active_refresh(tmp_path):
+    """``fi --dump-paths`` writes the same walk as ``baseline --dump-paths``."""
+    config = write_config(tmp_path, n_scouts=10)
+    base, fi = tmp_path / "base", tmp_path / "fi"
+    assert main(["baseline", "--config", str(config), "--out", str(base),
+                 "--dump-paths"]) == 0
+    assert main(["fi", "--config", str(config), "--out", str(fi), "--dump-paths"]) == 0
+    assert (fi / "paths.csv").read_bytes() == (base / "paths.csv").read_bytes()
+    assert len((base / "paths.csv").read_text().splitlines()) > 1
+
+
+def test_dump_paths_header_only_without_active_refresh(tmp_path):
+    config = write_config(tmp_path, n_scouts=10,
+                          weather_block="source = synth\ntemp_mean_c = -30")
+    out = tmp_path / "run"
+    assert main(["baseline", "--config", str(config), "--out", str(out),
+                 "--dump-paths"]) == 0
+    assert (out / "paths.csv").read_text() == "scout_id,step,x,y\n"
+
+
+def test_seed_outside_u64_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10)
+    for seed in (-5, 2**64):
+        code = main(["baseline", "--config", str(config), "--seed", str(seed),
+                     "--out", str(tmp_path / "x")])
+        assert code != 0
+        assert capsys.readouterr().err.splitlines() == ["error: OutOfRangeValue"]
+    config = write_config(tmp_path, n_scouts=10, seed=-5)
+    assert main(["baseline", "--config", str(config), "--out", str(tmp_path / "x")]) != 0
+    assert capsys.readouterr().err.splitlines() == ["error: OutOfRangeValue"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_largest_u64_seed_runs(tmp_path):
+    config = write_config(tmp_path, n_scouts=10)
+    out = tmp_path / "run"
+    assert main(["baseline", "--config", str(config), "--seed", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+    assert (out / "season.csv").is_file()

@@ -2,10 +2,15 @@ import math
 
 import pytest
 
-from beeloop.control import CoverageLabel, ThresholdClassifier
+from beeloop.control import (
+    CoverageLabel,
+    ThresholdClassifier,
+    classify_regions,
+    extract_features,
+)
 from beeloop.errors import RegionSetMismatchError
 from beeloop.foraging import ColonyParams
-from beeloop.landscape import tile_regions
+from beeloop.landscape import derive_patches, tile_regions, with_artificial
 from beeloop.monitor import LinearModel
 from beeloop.scouting import ScoutParams
 from beeloop.supervisor import (
@@ -167,3 +172,40 @@ def test_user_config_validation():
         UserConfig(max_iterations=0)
     with pytest.raises(ValueError):
         UserConfig(max_artificial_patches=-1)
+
+
+def _assert_final_artifacts_rederive(grid, plan, final, classifier, settings):
+    """The loop's final patches and labels equal a fresh derivation from the plan."""
+    final_grid = with_artificial(grid, [p.cell for p in plan.placed_patches])
+    assert list(plan.final_patches) == derive_patches(final_grid, settings.patch_params)
+    tiling = tile_regions(final_grid, settings.region_rows, settings.region_cols)
+    feats = extract_features(final.scout_report.coverage, tiling, final_grid)
+    labels = classify_regions(classifier, feats)
+    assert list(plan.region_labels) == [(f, labels[f.region_id]) for f in feats]
+
+
+def test_loop_final_artifacts_after_accepted_iterations(desk_grid):
+    cfg = UserConfig(max_artificial_patches=9, max_iterations=4)
+    classifier = ThresholdClassifier()
+    plan, trace, baseline, final = run_fi_loop(
+        desk_grid, synth_weather(8), FAST_COLONY, FAST_SCOUTS,
+        classifier, cfg, seed=7, settings=FAST_SETTINGS,
+    )
+    assert plan.iterations_used >= 1
+    assert any(p.artificial for p in plan.final_patches)
+    _assert_final_artifacts_rederive(desk_grid, plan, final, classifier, FAST_SETTINGS)
+
+
+def test_loop_final_artifacts_without_iterations(desk_grid):
+    cfg = UserConfig(max_artificial_patches=0)
+    settings = LoopSettings(
+        region_rows=4, region_cols=4, scout_cadence_days=10,
+        bounds=ControlBounds(max_temp_uplift=0.0, max_extra_light_h=0.0),
+    )
+    classifier = ThresholdClassifier()
+    plan, trace, baseline, final = run_fi_loop(
+        desk_grid, synth_weather(8), FAST_COLONY, FAST_SCOUTS,
+        classifier, cfg, seed=3, settings=settings,
+    )
+    assert plan.iterations_used == 0
+    _assert_final_artifacts_rederive(desk_grid, plan, final, classifier, settings)
