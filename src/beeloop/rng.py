@@ -21,14 +21,24 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a fixed 64-bit bijective mixing function."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """`mix64` over a ``uint64`` array; wrapping multiply makes it exact."""
+    z = np.asarray(z, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
 
 
 def _token_hash(token: int | str) -> int:

@@ -11,8 +11,9 @@ patch opens an encounter episode with that patch; one Bernoulli draw against
 the patch's detection probability decides the episode. Leaving the sensing
 zone and re-entering opens a new episode. On a successful detection the
 scout, if idle, locks onto the patch centroid for ``dwell_steps`` steps with
-reduced heading noise, then resumes free exploration. This local attraction
-is what lets small high-detectability patches act as waypoints.
+reduced heading noise, then resumes free exploration. An idle scout locks
+onto the lowest-id patch it newly detects. This local attraction is what
+lets small high-detectability patches act as waypoints.
 
 Randomness is split into two streams so that landscape edits have only
 causal effects. Movement draws (turn noise plus a fixed block of retry
@@ -20,6 +21,11 @@ directions per step) come from a Philox stream with constant per-step
 consumption; episode draws are computed by hashing (seed, scout, patch,
 step), so they are order-independent. Adding a patch therefore leaves every
 scout's walk bitwise unchanged until some scout actually senses it.
+
+The walk is vectorized over scouts: each step is a fixed sequence of array
+operations over all of them, with no per-scout Python loop. The sensing map
+is a CSR table (cell -> sorted patch ids), so a scout's newly sensed patches
+are its current cell's row minus its previous cell's row.
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
@@ -34,18 +40,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .landscape import CellGrid, Patch
-from .rng import derive_seed, generator, mix64
+from .rng import derive_seed, generator, mix64, mix64_array
 
 _MAX_STEP_RETRIES = 4
 _U64_SCALE = 1.0 / 2.0**64
-
-
-def _episode_uniform(key: int, scout: int, patch: int, step: int) -> float:
-    """Order-independent uniform draw for one encounter episode."""
-    z = mix64(key ^ mix64(scout))
-    z = mix64(z ^ mix64(patch))
-    z = mix64(z ^ mix64(step))
-    return z * _U64_SCALE
 
 
 @dataclass(frozen=True)
@@ -95,24 +93,49 @@ class ScoutReport:
 
 def build_sensing_map(
     grid: CellGrid, patches: list[Patch], radius: float
-) -> dict[int, tuple[int, ...]]:
-    """Flat cell index -> sorted patch ids sensed from that cell."""
-    offsets = [
-        (dr, dc)
-        for dr in range(-int(radius), int(radius) + 1)
-        for dc in range(-int(radius), int(radius) + 1)
-        if math.hypot(dr, dc) <= radius
-    ]
-    by_cell: dict[int, set[int]] = {}
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)``: flat cell index -> sorted patch ids sensed there.
+
+    Row ``cell`` is ``indices[indptr[cell]:indptr[cell + 1]]``, the ids of the
+    patches with a member cell within ``radius`` cells of ``cell``.
+    """
+    reach = int(radius)
+    offsets = np.array(
+        [
+            (dr, dc)
+            for dr in range(-reach, reach + 1)
+            for dc in range(-reach, reach + 1)
+            if math.hypot(dr, dc) <= radius
+        ],
+        dtype=np.int64,
+    )
     width, height = grid.width, grid.height
-    for p in patches:
-        for flat in p.cell_members:
-            r, c = divmod(flat, width)
-            for dr, dc in offsets:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < height and 0 <= cc < width:
-                    by_cell.setdefault(rr * width + cc, set()).add(p.id)
-    return {cell: tuple(sorted(ids)) for cell, ids in by_cell.items()}
+    members = np.array([f for p in patches for f in p.cell_members], dtype=np.int64)
+    owners = np.repeat(
+        np.array([p.id for p in patches], dtype=np.int64),
+        [len(p.cell_members) for p in patches],
+    )
+    rr = (members[:, None] // width + offsets[:, 0]).ravel()
+    cc = (members[:, None] % width + offsets[:, 1]).ravel()
+    pids = np.repeat(owners, len(offsets))
+    inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+    stride = int(owners.max()) + 1 if owners.size else 1
+    # Sorted, deduplicated (cell, id) keys order rows by cell and ids within a
+    # row. np.unique is avoided: it imports numpy.ma, about 1 MB of RSS.
+    keys = np.sort((rr[inside] * width + cc[inside]) * stride + pids[inside])
+    cells, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], stride)
+    indptr = np.zeros(width * height + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells, minlength=width * height), out=indptr[1:])
+    return indptr, indices
+
+
+def _row_pairs(row_start, row_len, indices, cells, scouts):
+    """(scout, patch id) for every entry of each scout's CSR row, in order."""
+    counts = row_len[cells]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    pos = np.repeat(row_start[cells] - ends + counts, counts) + np.arange(total)
+    return np.repeat(scouts, counts), indices[pos]
 
 
 def _make_report(coverage, detected, n_patches, traversable, trajectories=None) -> ScoutReport:
@@ -165,20 +188,33 @@ def simulate_at_checkpoints(
     heading = move_rng.uniform(0.0, 2.0 * math.pi, n)
     target = np.full(n, -1, dtype=np.int64)
     dwell = np.zeros(n, dtype=np.int64)
-    prev_near: list[tuple[int, ...]] = [()] * n
 
-    sensing = build_sensing_map(grid, patches, params.detection_radius)
-    detect_prob = {p.id: p.detection_probability for p in patches}
-    centroid_cells = {
-        p.id: (p.centroid[0] / grid.cell_size, p.centroid[1] / grid.cell_size)
-        for p in patches
-    }
+    indptr, indices = build_sensing_map(grid, patches, params.detection_radius)
+    n_cells = width * height
+    # Row n_cells is empty: the "previous cell" of every scout before step 1.
+    row_start = np.append(indptr[:-1], 0)
+    row_len = np.append(np.diff(indptr), 0)
+    prev_flat = np.full(n, n_cells, dtype=np.int64)
+
+    # Per-patch lookups indexed by patch id.
+    ids = np.array([p.id for p in patches], dtype=np.int64)
+    n_ids = int(ids.max()) + 1 if ids.size else 0
+    detect_prob = np.zeros(n_ids)
+    detect_prob[ids] = [p.detection_probability for p in patches]
+    centroid_cells = np.zeros((n_ids, 2))
+    centroid_cells[ids] = np.reshape([p.centroid for p in patches], (-1, 2)) / grid.cell_size
+    # Episode draw mix64(mix64(mix64(key ^ mix64(scout)) ^ mix64(patch)) ^
+    # mix64(step)): the scout and patch terms are hashed once per walk.
+    scout_hash = mix64_array(np.uint64(episode_key) ^ mix64_array(np.arange(n, dtype=np.uint64)))
+    patch_hash = mix64_array(np.arange(n_ids, dtype=np.uint64))
+    found = np.zeros(n_ids, dtype=bool)
+
     blocked_cells = grid.obstacle_mask()
     leash_cells = params.max_range / grid.cell_size
     step_len = params.step_length
 
     coverage = np.zeros((height, width), dtype=np.int64)
-    detected: set[int] = set()
+    coverage_flat = coverage.reshape(-1)
     trajectories = (
         np.zeros((n, total_steps, 2), dtype=np.float64) if collect_trajectories else None
     )
@@ -187,9 +223,7 @@ def simulate_at_checkpoints(
     snapshots: dict[int, ScoutReport] = {}
     if 0 in order:
         traj0 = trajectories[:, :0] if trajectories is not None else None
-        snapshots[0] = _make_report(
-            coverage.copy(), detected, n_patches, traversable, traj0
-        )
+        snapshots[0] = _make_report(coverage.copy(), (), n_patches, traversable, traj0)
 
     for step in range(1, total_steps + 1):
         # Per-step draws are a fixed block (n turn noises, n x retries
@@ -207,8 +241,7 @@ def simulate_at_checkpoints(
             heading[idx] = np.arctan2(start[1] - pos[idx, 1], start[0] - pos[idx, 0])
         if attracted.any():
             idx = np.nonzero(attracted)[0]
-            tx = np.array([centroid_cells[int(t)][0] for t in target[idx]])
-            ty = np.array([centroid_cells[int(t)][1] for t in target[idx]])
+            tx, ty = centroid_cells[target[idx]].T
             heading[idx] = np.arctan2(ty - pos[idx, 1], tx - pos[idx, 0])
         heading = heading + sigma * turn_noise
 
@@ -241,25 +274,34 @@ def simulate_at_checkpoints(
             trajectories[:, step - 1, 0] = pos[:, 0]
             trajectories[:, step - 1, 1] = pos[:, 1]
 
-        cols = pos[:, 0].astype(np.int64)
-        rows = pos[:, 1].astype(np.int64)
-        np.add.at(coverage, (rows, cols), 1)
+        flat = pos[:, 1].astype(np.int64) * width + pos[:, 0].astype(np.int64)
+        coverage_flat += np.bincount(flat, minlength=n_cells)
 
-        # Encounter episodes: one hashed draw per newly sensed patch.
-        flat = rows * width + cols
-        for i in range(n):
-            near = sensing.get(int(flat[i]), ())
-            if near != prev_near[i]:
-                prev = prev_near[i]
-                for pid in near:
-                    if pid in prev:
-                        continue
-                    if _episode_uniform(episode_key, i, pid, step) < detect_prob[pid]:
-                        detected.add(pid)
-                        if target[i] < 0:
-                            target[i] = pid
-                            dwell[i] = params.dwell_steps
-                prev_near[i] = near
+        # Encounter episodes: one hashed draw per newly sensed (scout, patch)
+        # pair, i.e. an entry of the current cell's row missing from the
+        # previous cell's row. Pairs run in (scout, patch id) order.
+        moved = np.nonzero((flat != prev_flat) & (row_len[flat] > 0))[0]
+        if moved.size:
+            scout, pid = _row_pairs(row_start, row_len, indices, flat[moved], moved)
+            was_scout, was_pid = _row_pairs(
+                row_start, row_len, indices, prev_flat[moved], moved
+            )
+            # Both key lists are sorted; the end sentinel exceeds every key.
+            key = scout * n_ids + pid
+            was_key = np.append(was_scout * n_ids + was_pid, n * n_ids)
+            fresh = was_key[np.searchsorted(was_key, key)] != key
+            scout, pid = scout[fresh], pid[fresh]
+            z = mix64_array(scout_hash[scout] ^ patch_hash[pid])
+            z = mix64_array(z ^ np.uint64(mix64(step)))
+            hit = z.astype(np.float64) * _U64_SCALE < detect_prob[pid]
+            scout, pid = scout[hit], pid[hit]
+            found[pid] = True
+            # An idle scout locks onto its first hit, the lowest new patch id.
+            first = np.flatnonzero(np.diff(scout, prepend=-1))
+            lock = first[target[scout[first]] < 0]
+            target[scout[lock]] = pid[lock]
+            dwell[scout[lock]] = params.dwell_steps
+        prev_flat = flat
 
         active = target >= 0
         dwell[active] -= 1
@@ -268,7 +310,7 @@ def simulate_at_checkpoints(
         if step in wanted:
             traj = trajectories[:, :step] if trajectories is not None else None
             snapshots[step] = _make_report(
-                coverage.copy(), set(detected), n_patches, traversable, traj
+                coverage.copy(), np.flatnonzero(found).tolist(), n_patches, traversable, traj
             )
 
     return [snapshots[s] for s in order]

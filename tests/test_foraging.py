@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -202,3 +203,17 @@ def test_golden_desk_season(tmp_path, desk_grid, desk_patches):
     write_season_csv(out, record)
     golden = Path(__file__).parent / "golden" / "season_desk_seed1.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_colony_season_one_scout_per_bee(tmp_path, desk_grid, desk_patches):
+    """The desk baseline season at 1:1 scale (10 000 scouts), pinned bytes."""
+    record = run_season(desk_grid, desk_patches, synth_weather(42), None,
+                        ColonyParams(), 7, ScoutParams(n_scouts=10000), seed=1)
+    out = tmp_path / "season.csv"
+    write_season_csv(out, record)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8299fbd74cdaa7bbb91d48651f21a38caaa4c6bf96bdad98f27c0614d3769c75"
+    )
+    assert hashlib.sha256(record.scout_report.coverage.tobytes()).hexdigest() == (
+        "5e3d792a466480973c8308af88d50ba428a8a810f57d4d458539a0c2e4f47ef9"
+    )

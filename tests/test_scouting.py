@@ -1,10 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from beeloop.errors import DimensionMismatchError
-from beeloop.landscape import PatchParams, derive_patches, parse_map
+from beeloop.landscape import (
+    EMPTY,
+    HIVE,
+    CellGrid,
+    PatchParams,
+    derive_patches,
+    parse_map,
+    with_artificial,
+)
 from beeloop.scouting import (
     ScoutParams,
     build_sensing_map,
@@ -49,7 +58,8 @@ def test_certain_patch_next_to_hive_is_found():
     assert rep.detected_patch_ids == {patches[0].id}
     assert rep.covered_area_fraction > 0.0
     # independent re-check: some recorded position lies in the sensing zone
-    sensing = set(build_sensing_map(grid, patches, params.detection_radius))
+    indptr, _ = build_sensing_map(grid, patches, params.detection_radius)
+    sensing = set(np.flatnonzero(np.diff(indptr)))  # cells with a non-empty row
     cells = {
         int(y) * grid.width + int(x)
         for x, y in rep.trajectories.reshape(-1, 2)
@@ -173,3 +183,145 @@ def test_scout_params_validation():
 def test_negative_hours_rejected(desk_grid, desk_patches):
     with pytest.raises(ValueError):
         run_scouting(desk_grid, desk_patches, FAST, -1.0, seed=1)
+
+
+# Bit-exact pins. Each digest covers every report of one walk, in checkpoint
+# order: its coverage bytes, its sorted detected ids and its trajectory bytes.
+# They were recorded from the per-scout reference walk; a vectorized walk
+# must reproduce them byte for byte.
+PIN_CHECKPOINTS = [0, 50, 120, 216]
+BEACON_CELLS = [(40, 32), (41, 32), (28, 32), (36, 36), (42, 34), (30, 27)]
+
+
+def walk_digest(grid, patches, params, seed, checkpoints=PIN_CHECKPOINTS):
+    h = hashlib.sha256()
+    reports = simulate_at_checkpoints(
+        grid, patches, params, checkpoints, seed, collect_trajectories=True
+    )
+    for rep in reports:
+        h.update(rep.coverage.tobytes())
+        h.update(repr(sorted(rep.detected_patch_ids)).encode())
+        h.update(np.ascontiguousarray(rep.trajectories).tobytes())
+    return h.hexdigest()
+
+
+def tiled_grid(grid, tiles=4):
+    """A tiles x tiles mosaic of ``grid`` keeping only the top-left hive."""
+    cells = np.tile(grid.cells, (tiles, tiles))
+    other_hives = cells == HIVE
+    other_hives[: grid.height, : grid.width] = False
+    cells[other_hives] = EMPTY
+    return CellGrid(grid.width * tiles, grid.height * tiles, grid.cell_size, cells)
+
+
+@pytest.fixture(scope="module")
+def pin_worlds(desk_grid, desk_patches):
+    tiled = tiled_grid(desk_grid)
+    beacons = with_artificial(desk_grid, BEACON_CELLS)
+    return {
+        "desk1": (desk_grid, desk_patches, ScoutParams(n_scouts=1)),
+        "desk150": (desk_grid, desk_patches, ScoutParams()),
+        "desk1500": (desk_grid, desk_patches, ScoutParams(n_scouts=1500)),
+        "tiled150": (tiled, derive_patches(tiled), ScoutParams()),
+        "beacons": (
+            beacons,
+            derive_patches(beacons),
+            ScoutParams(detection_radius=3.5, dwell_steps=3),
+        ),
+    }
+
+
+PINNED_WALKS = {
+    ("beacons", 1): "7f600368746bbeb2cadd5fed9a91696d4a7e4f50026555863e107f500a5ef227",
+    ("beacons", 7): "faf40d7e9cb681853d2b970eb7b7f85650fcc65cef5f682ab2f311dc5d312413",
+    ("beacons", 42): "22179bbbd8efbc910bb3b90c987b42e9fbb596a293e4b587540c303254a540d2",
+    ("beacons", 123456789): "c3e0d8e37dc60f39623c290422d483d63df5240e3bccf1484032c6688c3e9126",
+    ("beacons", 2**64 - 1): "dcdb6c0a17cd5c26f0a657c55e1b8a8863dbc9544de080027f6233b7f85411d6",
+    ("desk1", 1): "a11a4d251bd58ac01a92cedca08b778d384ee0a9558e25aa67b9a69435ce3a9b",
+    ("desk1", 7): "cc994869d444b417bd360de506562e810ca99ac5055d9352b85e6e92bcb23f8d",
+    ("desk1", 42): "9227a45ae2d823b0c9ca981373808703828756ba46672111b1402ddd466628fa",
+    ("desk1", 123456789): "9ee7b10830413c7b0472d6ec433cef9e422937e184051950bce5913258c379e2",
+    ("desk1", 2**64 - 1): "77c790ca2a3f04f2f8c2b699ec7e9ed8d2eea4b6c7d150188984b1a18801d7d6",
+    ("desk150", 1): "ba09509bf3e2aab7340e1ec2bb87487768480187c3adaa889b9fb4d4a31bb0e4",
+    ("desk150", 7): "94c68ba08c4504906fda09975435b540203b48299776842e48460890b4a40d9d",
+    ("desk150", 42): "a0d7fae9bb28379077d34476a6cab17a91ab36c8f7359849724f4136fe2a478a",
+    ("desk150", 123456789): "4c7cf2652c23208c7d277c601912edc6dc09412523b56dd1805ede5f3a7a46fd",
+    ("desk150", 2**64 - 1): "ffe23178bd00ff48b5e7316473673c745b768b9eaaee63040de9a55d94bddfd6",
+    ("desk1500", 1): "ce00e3dc1f797e269ab01cb0601db691f9668619d7503a25c936cdd956595a44",
+    ("desk1500", 7): "3fce73a30564fab1de86d44d59894f5a78b2f6930af36870b1246b29bcd64e19",
+    ("desk1500", 42): "7fc11605040f58b26ff6fcc3a44ed6fb4fa0a91638dde9632e770742ba5979dc",
+    ("desk1500", 123456789): "bc7add7acd2ac094603374f87d942db145b61cc08c62aa50562d29bac92c0890",
+    ("desk1500", 2**64 - 1): "ac9f64f09db7b1bedfd493b263483bffff8fee864499c24b8343caaeea45e96a",
+    ("tiled150", 1): "9e2685411fb068ca7ce6d4aab3ef68c761ee290a851c29ebbd7e6a0635dd06f7",
+    ("tiled150", 7): "8842c94139946a6aed0b844c3d8d6a9d0ae49cc4e7dcde797c633b1c073f2f21",
+    ("tiled150", 42): "bb259c2f4f956ee62e9f973cc356f145ceec48ec9698aa62c9250b20cd5aff4e",
+    ("tiled150", 123456789): "502a179ec461c981778867019ebc92a0f7748c247aa5805b1ba93da17c67e6e4",
+    ("tiled150", 2**64 - 1): "e595657f9dd1632c2020f39fcb849897ae3a08e49f5510c9e71298d6ef57903f",
+}
+
+
+@pytest.mark.parametrize("world,seed", sorted(PINNED_WALKS))
+def test_walk_bytes_pinned(pin_worlds, world, seed):
+    grid, patches, params = pin_worlds[world]
+    assert walk_digest(grid, patches, params, seed) == PINNED_WALKS[world, seed]
+
+
+def test_checkpoint_zero_only_is_empty(desk_grid, desk_patches):
+    (rep,) = simulate_at_checkpoints(
+        desk_grid, desk_patches, FAST, [0], seed=3, collect_trajectories=True
+    )
+    assert rep == empty_report(desk_grid, len(desk_patches))
+    assert rep.trajectories.shape == (FAST.n_scouts, 0, 2)
+
+
+def test_scout_reflected_in_place_opens_no_new_episode():
+    """A walled-in scout stays in its cell: one draw per patch, at step 1."""
+    grid = parse_map(make_map([".....", ".###.", ".#H#.", ".###.", "..A.."]))
+    patches = derive_patches(grid, PatchParams(artificial_detect=0.5))
+    params = ScoutParams(n_scouts=1, detection_radius=2.5)
+    found = []
+    for seed in range(20):
+        first, last = simulate_at_checkpoints(grid, patches, params, [1, 200], seed)
+        assert last.detected_patch_ids == first.detected_patch_ids
+        assert last.coverage[2, 2] == 200
+        found.append(bool(first.detected_patch_ids))
+    # a fresh draw per step would all but certainly detect it within 200 steps
+    assert any(found) and not all(found)
+
+
+EDGE_ROWS = ["Y....YY", "Y..#...", "...H..A", "A......", "YY...YA"]
+
+
+def brute_sensing_rows(grid, patches, radius):
+    """Every in-grid cell within ``radius`` of any member cell, by full scan."""
+    rows = {}
+    for p in patches:
+        for flat in p.cell_members:
+            r, c = divmod(flat, grid.width)
+            for rr in range(grid.height):
+                for cc in range(grid.width):
+                    if math.hypot(rr - r, cc - c) <= radius:
+                        rows.setdefault(rr * grid.width + cc, set()).add(p.id)
+    return rows
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.8, 3.5])
+def test_sensing_map_matches_brute_force(radius):
+    grid = parse_map(make_map(EDGE_ROWS))
+    patches = derive_patches(grid)
+    indptr, indices = build_sensing_map(grid, patches, radius)
+    want = brute_sensing_rows(grid, patches, radius)
+    assert len(indptr) == grid.width * grid.height + 1
+    for cell in range(grid.width * grid.height):
+        row = indices[indptr[cell] : indptr[cell + 1]].tolist()
+        assert row == sorted(want.get(cell, ())), f"cell {cell}"
+
+
+def test_no_patches_gives_empty_sensing_map_and_no_detections():
+    grid = parse_map(make_map(["....#", ".....", "..H..", ".....", "#...."]))
+    indptr, indices = build_sensing_map(grid, [], 3.5)
+    assert indptr.tolist() == [0] * (grid.width * grid.height + 1)
+    assert indices.size == 0
+    for rep in simulate_at_checkpoints(grid, [], FAST, [0, 5, 40], seed=9):
+        assert rep.detected_patch_ids == frozenset()
+        assert rep.detected_patch_fraction == 0.0
