@@ -2,13 +2,17 @@
 """Independent patch count check for a map file.
 
 Counts 4-connected crop components with union-find, on purpose a different
-algorithm from the package's BFS flood fill, so the two can cross-validate.
+algorithm from the package's depth-first flood fill, and compares the count
+with the natural patches ``beeloop.landscape.derive_patches`` finds. Exits 1
+when the two disagree.
 
 Usage: python scripts/verify_map.py [path/to/map]
 """
 
 import sys
 from pathlib import Path
+
+from beeloop.landscape import derive_patches, load_map
 
 
 def count_components(rows: list[str], symbol: str = "Y") -> int:
@@ -49,14 +53,21 @@ def load_rows(path: Path) -> list[str]:
     return rows
 
 
-def main() -> None:
+def main() -> int:
     default = Path(__file__).resolve().parents[1] / "src" / "beeloop" / "data" / "field_desk.map"
     path = Path(sys.argv[1]) if len(sys.argv) > 1 else default
     rows = load_rows(path)
+    union_find = count_components(rows)
+    flood_fill = len([p for p in derive_patches(load_map(path)) if not p.artificial])
     print(f"{path}: {len(rows[0])}x{len(rows)} cells")
-    print(f"crop patches (union-find, 4-connected): {count_components(rows)}")
+    print(f"crop patches (union-find, 4-connected): {union_find}")
+    print(f"crop patches (derive_patches): {flood_fill}")
     print(f"hive cells: {sum(r.count('H') for r in rows)}")
+    if union_find != flood_fill:
+        print(f"mismatch: union-find {union_find} != derive_patches {flood_fill}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

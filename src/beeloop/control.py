@@ -16,7 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ClassImbalanceError, TilingMismatchError
-from .landscape import ARTIFICIAL, CellGrid, EMPTY, RegionTiling, region_centroid_m
+from .landscape import ARTIFICIAL, CellGrid, EMPTY, RegionTiling, region_centroids_m
 from .rng import generator
 
 
@@ -101,25 +101,26 @@ def extract_features(
     if tiling.region_of_cell.shape != (grid.height, grid.width):
         raise TilingMismatchError("tiling does not match grid")
     hx, hy = grid.hive_xy_m
-    traversable = ~grid.obstacle_mask()
-    out = []
-    for region in range(tiling.n_regions):
-        mask = (tiling.region_of_cell == region) & traversable
-        n = int(np.count_nonzero(mask))
-        if n == 0:
-            continue
-        visits = int(coverage[mask].sum())
-        visited = int(np.count_nonzero(coverage[mask]))
-        cx, cy = region_centroid_m(tiling, grid, region)
-        out.append(
-            RegionFeatures(
-                region_id=region,
-                visit_density=visits / n,
-                coverage_fraction=visited / n,
-                distance_to_hive=math.hypot(cx - hx, cy - hy),
-            )
+    traversable = ~grid.obstacle_mask().ravel()
+    region = tiling.region_of_cell.ravel()[traversable]
+    visits_of_cell = coverage.ravel()[traversable]
+    n = np.bincount(region, minlength=tiling.n_regions)
+    visited = np.bincount(region[visits_of_cell != 0], minlength=len(n))
+    # visit counts stay integers: a float-weighted bincount rounds above 2**53
+    visits = np.zeros(len(n), dtype=np.int64)
+    np.add.at(visits, region, visits_of_cell)
+    cx, cy = region_centroids_m(tiling, grid)
+    n, visited, visits, cx, cy = (a.tolist() for a in (n, visited, visits, cx, cy))
+    return [
+        RegionFeatures(
+            region_id=r,
+            visit_density=visits[r] / n[r],
+            coverage_fraction=visited[r] / n[r],
+            distance_to_hive=math.hypot(cx[r] - hx, cy[r] - hy),
         )
-    return out
+        for r in range(tiling.n_regions)
+        if n[r]
+    ]
 
 
 def classify(classifier: Classifier, f: RegionFeatures) -> CoverageLabel:
@@ -237,13 +238,13 @@ def propose_patches(
     cs = grid.cell_size
     artificial_rows, artificial_cols = np.nonzero(grid.cells == ARTIFICIAL)
     beacons = list(zip(artificial_cols.tolist(), artificial_rows.tolist()))
+    cx_m, cy_m = (a.tolist() for a in region_centroids_m(tiling, grid))
     proposals: list[PatchProposal] = []
     taken: set[tuple[int, int]] = set()
     for f in low:
         if len(proposals) >= k:
             break
-        cx_m, cy_m = region_centroid_m(tiling, grid, f.region_id)
-        target = (cx_m / cs, cy_m / cs)
+        target = (cx_m[f.region_id] / cs, cy_m[f.region_id] / cs)
         wx = hive_pt[0] + policy.waypoint_fraction * (target[0] - hive_pt[0])
         wy = hive_pt[1] + policy.waypoint_fraction * (target[1] - hive_pt[1])
         if any(

@@ -6,6 +6,13 @@ components of `Y` cells; artificial patches are 4-connected components of
 `A` cells. Header lines of the form ``# key = value`` before the first grid
 row carry metadata (``cell_size_m``). A grid row can itself start with `#`
 (an obstacle): rows never contain ``=``, which is what disambiguates them.
+
+Patch members are numbered in the order a depth-first flood fill reaches
+them, and a centroid is the left-to-right float sum of its members'
+coordinates. At a cell size that is not a dyadic fraction the sum's rounding
+depends on that order (at 0.3 m, 660 of the 3 920 centroids of a 4x4 desk
+tiling change if summed in scan order), so the fill order is part of the
+output and a labelling-plus-``bincount`` rewrite would not be bit-exact.
 """
 
 from __future__ import annotations
@@ -26,7 +33,14 @@ from .errors import (
 EMPTY, CROP, OBSTACLE, HIVE, ARTIFICIAL = 0, 1, 2, 3, 4
 
 _SYMBOL_TO_KIND = {".": EMPTY, "Y": CROP, "#": OBSTACLE, "H": HIVE, "A": ARTIFICIAL}
-_KIND_TO_SYMBOL = {v: k for k, v in _SYMBOL_TO_KIND.items()}
+# The ASCII code of each kind's symbol, and the kind of each ASCII code point
+# (-1 for an unknown symbol; parse_map clamps larger code points to the last
+# entry, DEL, which is unknown).
+_CODE_OF_KIND = np.zeros(len(_SYMBOL_TO_KIND), dtype=np.uint8)
+_KIND_OF_CODE = np.full(128, -1, dtype=np.int8)
+for _sym, _kind in _SYMBOL_TO_KIND.items():
+    _CODE_OF_KIND[_kind] = ord(_sym)
+    _KIND_OF_CODE[ord(_sym)] = _kind
 
 DEFAULT_CELL_SIZE_M = 125.0
 
@@ -148,41 +162,43 @@ def parse_map(text: str) -> CellGrid:
     if row_lines[-1] - row_lines[0] != len(row_lines) - 1:
         raise RaggedRowsError("blank line inside the grid rows")
 
+    # One lookup over the code points of the rows before the first ragged
+    # row; its first unknown symbol or second hive in scan order is reported
+    # before the ragged row itself, as a row-by-row scan would.
     width = len(grid_rows[0])
-    height = len(grid_rows)
-    cells = np.zeros((height, width), dtype=np.int8)
-    hive_at = None
-    for r, row in enumerate(grid_rows):
-        if len(row) != width:
-            raise RaggedRowsError(
-                f"row at line {row_lines[r]} has width {len(row)}, expected {width}"
-            )
-        for c, sym in enumerate(row):
-            kind = _SYMBOL_TO_KIND.get(sym)
-            if kind is None:
-                raise UnknownSymbolError(
-                    f"unknown symbol {sym!r} at line {row_lines[r]}, column {c + 1}"
-                )
-            if kind == HIVE:
-                if hive_at is not None:
-                    raise MultipleHivesError(
-                        f"second hive at line {row_lines[r]}, column {c + 1}"
-                    )
-                hive_at = (c, r)
-            cells[r, c] = kind
-    if hive_at is None:
+    ragged = next((r for r, row in enumerate(grid_rows) if len(row) != width), len(grid_rows))
+    codes = np.frombuffer(
+        "".join(grid_rows[:ragged]).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    )
+    kinds = _KIND_OF_CODE[np.minimum(codes, len(_KIND_OF_CODE) - 1)]
+    hives = np.flatnonzero(kinds == HIVE)
+    bad = np.flatnonzero(kinds < 0)[:1].tolist() + hives[1:2].tolist()
+    if bad:
+        i = min(bad)
+        r, c = divmod(i, width)
+        where = f"at line {row_lines[r]}, column {c + 1}"
+        if kinds[i] == HIVE:
+            raise MultipleHivesError(f"second hive {where}")
+        raise UnknownSymbolError(f"unknown symbol {chr(codes[i])!r} {where}")
+    if ragged < len(grid_rows):
+        raise RaggedRowsError(
+            f"row at line {row_lines[ragged]} has width {len(grid_rows[ragged])}, "
+            f"expected {width}"
+        )
+    if not hives.size:
         raise NoHiveError("map contains no hive cell")
     if cell_size <= 0:
         raise UnknownSymbolError(f"cell_size_m must be positive, got {cell_size}")
-    return CellGrid(width=width, height=height, cell_size=cell_size, cells=cells)
+    cells = kinds.reshape(len(grid_rows), width)
+    return CellGrid(width=width, height=len(grid_rows), cell_size=cell_size, cells=cells)
 
 
 def serialize_map(grid: CellGrid) -> str:
     """Inverse of parse_map; parse(serialize(g)) == g."""
-    out = [f"# cell_size_m = {grid.cell_size!r}"]
-    for r in range(grid.height):
-        out.append("".join(_KIND_TO_SYMBOL[int(k)] for k in grid.cells[r]))
-    return "\n".join(out) + "\n"
+    text = _CODE_OF_KIND[grid.cells].tobytes().decode("ascii")
+    w = grid.width
+    rows = [text[i : i + w] for i in range(0, len(text), w)]
+    return "\n".join([f"# cell_size_m = {grid.cell_size!r}", *rows]) + "\n"
 
 
 def load_map(path) -> CellGrid:
@@ -190,27 +206,35 @@ def load_map(path) -> CellGrid:
         return parse_map(fh.read())
 
 
-def _connected_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
-    """4-connected components of True cells, in scan order of their first cell."""
+def _connected_components(mask: np.ndarray) -> list[list[int]]:
+    """4-connected components of True cells as flat indices ``row*width+col``.
+
+    Components come in scan order of their first cell; members in the order a
+    depth-first search pops them, pushing neighbours up, down, left, right.
+    """
     height, width = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
+    # A zero row above and below and a zero column after each row (which is
+    # also left of the next row) let the fill step without bounds checks.
+    stride = width + 1
+    padded = np.zeros((height + 2, stride), dtype=np.uint8)
+    padded[1:-1, :width] = mask
+    unseen = bytearray(padded.tobytes())
     components = []
-    for r0 in range(height):
-        for c0 in range(width):
-            if not mask[r0, c0] or seen[r0, c0]:
-                continue
-            stack = [(r0, c0)]
-            seen[r0, c0] = True
-            members = []
-            while stack:
-                r, c = stack.pop()
-                members.append((r, c))
-                for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < height and 0 <= cc < width and mask[rr, cc] and not seen[rr, cc]:
-                        seen[rr, cc] = True
-                        stack.append((rr, cc))
-            components.append(members)
+    for seed in np.flatnonzero(padded).tolist():
+        if not unseen[seed]:
+            continue
+        unseen[seed] = 0
+        stack = [seed]
+        members = []
+        while stack:
+            p = stack.pop()
+            members.append(p)
+            for q in (p - stride, p + stride, p - 1, p + 1):
+                if unseen[q]:
+                    unseen[q] = 0
+                    stack.append(q)
+        # (row + 1) * stride + col back to row * width + col
+        components.append([p - p // stride - width for p in members])
     return components
 
 
@@ -222,13 +246,14 @@ def derive_patches(grid: CellGrid, params: PatchParams = PatchParams()) -> list[
     """
     hx, hy = grid.hive_xy_m
     cs = grid.cell_size
+    width = grid.width
     patches: list[Patch] = []
 
     def build(members, pid, artificial, detect, nectar, pollen):
-        xs = [(c + 0.5) * cs for _, c in members]
-        ys = [(r + 0.5) * cs for r, _ in members]
+        xs = [(i % width + 0.5) * cs for i in members]
+        ys = [(i // width + 0.5) * cs for i in members]
         centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
-        flat = tuple(sorted(r * grid.width + c for r, c in members))
+        flat = tuple(sorted(members))
         return Patch(
             id=pid,
             centroid=centroid,
@@ -287,20 +312,27 @@ def tile_regions(grid: CellGrid, rows: int, cols: int) -> RegionTiling:
         raise ZeroRegionsError(
             f"tiling {rows}x{cols} exceeds grid {grid.width}x{grid.height}"
         )
-    region = np.zeros((grid.height, grid.width), dtype=np.int32)
-    for r in range(grid.height):
-        band_r = min(r // base_h, rows - 1)
-        for c in range(grid.width):
-            band_c = min(c // base_w, cols - 1)
-            region[r, c] = band_r * cols + band_c
+    band_r = np.minimum(np.arange(grid.height) // base_h, rows - 1)
+    band_c = np.minimum(np.arange(grid.width) // base_w, cols - 1)
+    region = (band_r[:, None] * cols + band_c).astype(np.int32)
     return RegionTiling(rows=rows, cols=cols, region_of_cell=region)
 
 
-def region_centroid_m(tiling: RegionTiling, grid: CellGrid, region: int) -> tuple[float, float]:
-    """Mean cell-center position of a region, in meters."""
-    rows, cols = np.nonzero(tiling.region_of_cell == region)
+def region_centroids_m(tiling: RegionTiling, grid: CellGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cell-center x and y of every region, in meters; NaN if empty.
+
+    Row and column index sums are integers, exact in float64, so each mean is
+    the one ``np.mean`` gives over the region's cells.
+    """
+    height, width = tiling.region_of_cell.shape
+    region = tiling.region_of_cell.ravel()
+    n = tiling.n_regions
+    count = np.bincount(region, minlength=n)
+    col_sum = np.bincount(region, np.tile(np.arange(width, dtype=np.float64), height), n)
+    row_sum = np.bincount(region, np.repeat(np.arange(height, dtype=np.float64), width), n)
     cs = grid.cell_size
-    return (float(cols.mean()) + 0.5) * cs, (float(rows.mean()) + 0.5) * cs
+    with np.errstate(invalid="ignore"):
+        return (col_sum / count + 0.5) * cs, (row_sum / count + 0.5) * cs
 
 
 def with_artificial(grid: CellGrid, cells: list[tuple[int, int]]) -> CellGrid:

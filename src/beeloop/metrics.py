@@ -39,11 +39,13 @@ def delta_pd(baseline: SeasonRecord, fi: SeasonRecord) -> float:
 
 
 def delta_dv(baseline: SeasonRecord, fi: SeasonRecord) -> float:
-    """Relative percent change in total season visits."""
-    vb = baseline.totals.total_visits
+    """Relative percent change in total season visits; 0 when both are zero."""
+    vb, vf = baseline.totals.total_visits, fi.totals.total_visits
     if vb == 0:
+        if vf == 0:
+            return 0.0
         raise ZeroBaselineVisitsError("baseline season has zero visits")
-    return 100.0 * (fi.totals.total_visits - vb) / vb
+    return 100.0 * (vf - vb) / vb
 
 
 def pii(dpd: float, ddv: float, w1: float, w2: float) -> float:

@@ -350,9 +350,9 @@ def merge_reports(a: ScoutReport, b: ScoutReport) -> ScoutReport:
 
 
 def write_coverage_csv(path, report: ScoutReport) -> None:
+    line = ",".join(["%d"] * report.coverage.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in report.coverage:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in report.coverage.tolist())
 
 
 def write_trajectories_csv(path, trajectories: np.ndarray) -> None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .control import (
     Classifier,
     CoverageLabel,
@@ -39,7 +41,7 @@ from .landscape import (
     tile_regions,
     with_artificial,
 )
-from .monitor import LinearModel, MonitorSample, day_features, fit, predict
+from .monitor import FEATURE_NAMES, LinearModel, MonitorSample, day_features, fit, predict
 from .scouting import ScoutParams
 from .weather import EnvControl, WeatherSeries
 
@@ -136,12 +138,10 @@ def required_labels(
     grid: CellGrid, tiling: RegionTiling, label: CoverageLabel, regions: list[int]
 ) -> dict[int, CoverageLabel]:
     """Require ``label`` in regions holding crop; others only need Low."""
-    crop = grid.cells == CROP
-    out = {}
-    for region in regions:
-        has_crop = bool(crop[tiling.region_of_cell == region].any())
-        out[region] = label if has_crop else CoverageLabel.LOW
-    return out
+    crop_cells = np.bincount(
+        tiling.region_of_cell[grid.cells == CROP], minlength=tiling.n_regions
+    ).tolist()
+    return {r: label if crop_cells[r] else CoverageLabel.LOW for r in regions}
 
 
 def optimize_env_control(
@@ -216,7 +216,12 @@ def run_fi_loop(
     best_loss = coverage_loss(labels, required)
 
     def choose_control(season: SeasonRecord, ctrl: EnvControl | None) -> EnvControl | None:
-        """Fit the monitor on a season run under ``ctrl``; pick the next control."""
+        """Fit the monitor on a season run under ``ctrl``; pick the next control.
+
+        A season that cannot identify the monitor, with fewer days than
+        coefficients or the same visits every day (an enclosed hive, no
+        crop), gives no control.
+        """
         cap = settings.base_cap_h if ctrl is None else settings.fi_cap_h
         samples = [
             MonitorSample(
@@ -225,6 +230,9 @@ def run_fi_loop(
             )
             for d in season.days
         ]
+        visits = [s.target for s in samples]
+        if len(samples) < len(FEATURE_NAMES) + 1 or min(visits) == max(visits):
+            return None
         best = optimize_env_control(
             fit(samples), weather, window, settings.bounds, settings.control_grid_steps,
             settings.fi_cap_h,

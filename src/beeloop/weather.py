@@ -36,8 +36,9 @@ class EnvControl:
     def __post_init__(self):
         if self.temp_uplift < 0 or self.extra_light_hours < 0:
             raise ValueError("control magnitudes must be non-negative")
-        if self.active_window[0] > self.active_window[1]:
-            raise ValueError("active_window start must not exceed end")
+        # an empty window (end = start - 1) matches an empty season
+        if self.active_window[0] > self.active_window[1] + 1:
+            raise ValueError("active_window start must not exceed end + 1")
 
     def active_on(self, day: int) -> bool:
         return self.active_window[0] <= day <= self.active_window[1]

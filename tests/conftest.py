@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from beeloop.cli import default_config_path
-from beeloop.landscape import derive_patches, load_map
+from beeloop.landscape import EMPTY, HIVE, CellGrid, derive_patches, load_map
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,12 @@ def desk_patches(desk_grid):
 
 def make_map(rows: list[str], cell_size: float = 100.0) -> str:
     return f"# cell_size_m = {cell_size!r}\n" + "\n".join(rows) + "\n"
+
+
+def tiled_grid(grid: CellGrid, tiles: int = 4) -> CellGrid:
+    """A tiles x tiles mosaic of ``grid`` keeping only the top-left hive."""
+    cells = np.tile(grid.cells, (tiles, tiles))
+    other_hives = cells == HIVE
+    other_hives[: grid.height, : grid.width] = False
+    cells[other_hives] = EMPTY
+    return CellGrid(grid.width * tiles, grid.height * tiles, grid.cell_size, cells)

@@ -1,6 +1,8 @@
 import shutil
 from pathlib import Path
 
+import pytest
+
 from beeloop.cli import default_config_path, main
 
 
@@ -115,6 +117,60 @@ def test_fi_noop_reports_zero_pii(tmp_path):
         if line.startswith("pii,")
     )
     assert pii_line.split(",")[3] == "0.0"
+
+
+def desk_map_with(tmp_path, edit) -> None:
+    """Rewrite the scenario's copy of the desk map cell by cell."""
+    path = tmp_path / "field.map"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows = [list(row) for row in rows]
+    edit(rows)
+    path.write_text("\n".join([header, *("".join(r) for r in rows)]) + "\n", encoding="utf-8")
+
+
+def enclose_hive(rows) -> None:
+    r0, c0 = next((r, row.index("H")) for r, row in enumerate(rows) if "H" in row)
+    for r in range(r0 - 1, r0 + 2):
+        for c in range(c0 - 1, c0 + 2):
+            if (r, c) != (r0, c0):
+                rows[r][c] = "#"
+
+
+def remove_crop(rows) -> None:
+    for row in rows:
+        row[:] = ["." if sym == "Y" else sym for sym in row]
+
+
+def fi_control_row(out: Path) -> list[str]:
+    lines = (out / "fi_plan.csv").read_text(encoding="utf-8").splitlines()
+    return next(line for line in lines if line.startswith("control,")).split(",")
+
+
+@pytest.mark.parametrize("scenario", ["no_crop", "enclosed_hive", "empty_season"])
+def test_fi_unidentifiable_baseline_means_no_control(tmp_path, capsys, scenario):
+    """Constant daily visits or too few days cannot identify the monitor; the
+    loop then plans no control instead of aborting."""
+    if scenario == "empty_season":
+        config = write_config(tmp_path, season_start=130, season_end=129)
+    else:
+        config = write_config(tmp_path)
+        desk_map_with(tmp_path, remove_crop if scenario == "no_crop" else enclose_hive)
+    out = tmp_path / "run"
+    assert main(["fi", "--config", str(config), "--out", str(out), "--dump-paths"]) == 0
+    assert capsys.readouterr().err == ""
+    window = ["130", "129"] if scenario == "empty_season" else ["130", "170"]
+    assert fi_control_row(out)[6:10] == ["0.0", "0.0", *window]
+    assert main(["report", str(out)]) == 0
+
+
+def test_train_monitor_still_rejects_constant_visits(tmp_path, capsys):
+    config = write_config(tmp_path)
+    desk_map_with(tmp_path, enclose_hive)
+    out = tmp_path / "run"
+    assert main(["baseline", "--config", str(config), "--out", str(out)]) == 0
+    code = main(["train-monitor", "--config", str(config), "--out", str(out)])
+    assert code != 0
+    assert capsys.readouterr().err.strip() == "error: ZeroVariance"
 
 
 def test_fi_corrupted_weather_surfaces_missing_day(tmp_path, capsys):

@@ -82,6 +82,10 @@ def test_delta_dv_zero_baseline():
         delta_dv(record(total_visits=0), record(total_visits=10))
 
 
+def test_delta_dv_zero_visits_on_both_sides_is_no_change():
+    assert delta_dv(record(total_visits=0), record(total_visits=0)) == 0.0
+
+
 def test_pii_reported_value():
     value = pii(61.71, 38.0, 0.5, 0.5)
     assert value == 0.5 * 61.71 + 0.5 * 38.0  # exactly the formula

@@ -6,9 +6,6 @@ import pytest
 
 from beeloop.errors import DimensionMismatchError
 from beeloop.landscape import (
-    EMPTY,
-    HIVE,
-    CellGrid,
     PatchParams,
     derive_patches,
     parse_map,
@@ -23,7 +20,7 @@ from beeloop.scouting import (
     simulate_at_checkpoints,
 )
 
-from conftest import make_map
+from conftest import make_map, tiled_grid
 
 FAST = ScoutParams(n_scouts=20, steps_per_hour=20)
 
@@ -203,15 +200,6 @@ def walk_digest(grid, patches, params, seed, checkpoints=PIN_CHECKPOINTS):
         h.update(repr(sorted(rep.detected_patch_ids)).encode())
         h.update(np.ascontiguousarray(rep.trajectories).tobytes())
     return h.hexdigest()
-
-
-def tiled_grid(grid, tiles=4):
-    """A tiles x tiles mosaic of ``grid`` keeping only the top-left hive."""
-    cells = np.tile(grid.cells, (tiles, tiles))
-    other_hives = cells == HIVE
-    other_hives[: grid.height, : grid.width] = False
-    cells[other_hives] = EMPTY
-    return CellGrid(grid.width * tiles, grid.height * tiles, grid.cell_size, cells)
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,50 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import beeloop
+from beeloop.cli import default_config_path
+from beeloop.landscape import serialize_map
+
+from conftest import tiled_grid
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_verify_map(map_path: Path) -> subprocess.CompletedProcess:
+    package_root = str(Path(beeloop.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "verify_map.py"), str(map_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_verify_map_desk_agrees():
+    result = run_verify_map(default_config_path().parent / "field_desk.map")
+    assert result.returncode == 0, result.stderr
+    assert "crop patches (union-find, 4-connected): 245\n" in result.stdout
+    assert "crop patches (derive_patches): 245\n" in result.stdout
+
+
+def test_verify_map_tiled_agrees(desk_grid, tmp_path):
+    path = tmp_path / "tiled.map"
+    path.write_text(serialize_map(tiled_grid(desk_grid)), encoding="utf-8")
+    result = run_verify_map(path)
+    assert result.returncode == 0, result.stderr
+    assert "crop patches (union-find, 4-connected): 3920\n" in result.stdout
+    assert "crop patches (derive_patches): 3920\n" in result.stdout
+
+
+def test_verify_map_exits_1_on_mismatch(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("verify_map", SCRIPTS / "verify_map.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    derive = module.derive_patches
+    monkeypatch.setattr(module, "derive_patches", lambda grid: derive(grid)[1:])
+    monkeypatch.setattr(sys, "argv", ["verify_map.py"])
+    assert module.main() == 1
+    assert capsys.readouterr().err == "mismatch: union-find 245 != derive_patches 244\n"

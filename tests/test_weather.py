@@ -116,6 +116,14 @@ def test_env_control_validation():
         EnvControl(0.0, 0.0, (10, 1))
 
 
+def test_env_control_empty_window_is_never_active():
+    """An empty season's window, end = start - 1, is legal; one shorter is not."""
+    with pytest.raises(ValueError):
+        EnvControl(0.0, 0.0, (10, 8))
+    ctrl = EnvControl(0.0, 0.0, (91, 90))
+    assert not any(ctrl.active_on(day) for day in range(1, 366))
+
+
 hours_args = st.tuples(
     st.floats(-10.0, 35.0),          # max_temp
     st.floats(0.0, 24.0),            # sunshine
