@@ -103,6 +103,26 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
     return 0
 
 
+def _read_season_csv(path: Path, columns: list[str]) -> list[dict[str, str]]:
+    """Rows of a season export, each holding at least ``columns``.
+
+    A missing file, a missing column or a row of the wrong width is a
+    MissingArtifacts error.
+    """
+    if not path.is_file():
+        raise MissingArtifactsError(f"missing season export: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",") if lines else []
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise MissingArtifactsError(f"{path} has no column {missing[0]!r}")
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise MissingArtifactsError(f"{path} line {lineno} has {len(row)} fields")
+    return [dict(zip(header, row)) for row in rows]
+
+
 def cmd_report(run_dir: Path) -> int:
     """Melt both season exports into plot-ready long format."""
     metrics = [
@@ -110,15 +130,9 @@ def cmd_report(run_dir: Path) -> int:
         "detected_patches", "covered_area_frac",
     ]
     sources = {"baseline": run_dir / "season_baseline.csv", "fi": run_dir / "season_fi.csv"}
-    for p in sources.values():
-        if not p.is_file():
-            raise MissingArtifactsError(f"missing season export: {p}")
     rows = []
     for scenario_name, path in sources.items():
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = lines[0].split(",")
-        for line in lines[1:]:
-            record = dict(zip(header, line.split(",")))
+        for record in _read_season_csv(path, ["day", *metrics]):
             for m in metrics:
                 rows.append((m, scenario_name, record["day"], record[m]))
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
@@ -132,21 +146,15 @@ def cmd_report(run_dir: Path) -> int:
 def cmd_train_monitor(scenario, season_csv: Path | None) -> int:
     """Fit the monitoring model from a season export and print it."""
     path = season_csv if season_csv is not None else scenario.out_dir / "season.csv"
-    if not path.is_file():
-        raise MissingArtifactsError(f"missing season export: {path}")
+    records = _read_season_csv(path, ["day", "total_visits"])
     weather = config_mod.weather_for(scenario)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    samples = []
-    for line in lines[1:]:
-        record = dict(zip(header, line.split(",")))
-        day = int(record["day"])
-        samples.append(
-            MonitorSample(
-                day_features(weather.day(day), None, scenario.settings.base_cap_h),
-                float(record["total_visits"]),
-            )
+    samples = [
+        MonitorSample(
+            day_features(weather.day(int(r["day"])), None, scenario.settings.base_cap_h),
+            float(r["total_visits"]),
         )
+        for r in records
+    ]
     train, test = split_samples(samples, TEST_FRACTION, scenario.seed)
     model = fit(train)
     out = scenario.out_dir

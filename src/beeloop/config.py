@@ -7,7 +7,8 @@ file's directory. See data/desk.conf for a complete example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .control import CoverageLabel, PlacementPolicy, ThresholdClassifier
@@ -18,35 +19,64 @@ from .scouting import ScoutParams
 from .supervisor import ControlBounds, LoopSettings, UserConfig
 from .weather import ClimateProfile, WeatherSeries, load_weather, synth_weather
 
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError(raw)
+    return value
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _label(raw: str) -> CoverageLabel:
+    if raw.upper() not in CoverageLabel.__members__:
+        raise ValueError(raw)
+    return CoverageLabel[raw.upper()]
+
+
+# section -> key -> type. A key the file leaves out takes the default of the
+# dataclass field it sets; the keys of a section go to the fields of the same
+# name, after the renames below.
 _SECTIONS = {
-    "scenario": {"map", "seed", "out", "classifier"},
+    "scenario": {"map": str, "seed": int, "out": str, "classifier": str},
     "weather": {
-        "source", "file", "temp_mean_c", "temp_amplitude_c", "temp_noise_c",
-        "sunshine_mean_h", "sunshine_amplitude_h", "sunshine_noise_h", "peak_day",
+        "source": str, "file": str, "temp_mean_c": _float, "temp_amplitude_c": _float,
+        "temp_noise_c": _float, "sunshine_mean_h": _float, "sunshine_amplitude_h": _float,
+        "sunshine_noise_h": _float, "peak_day": int,
     },
     "landscape": {
-        "kappa", "nectar_per_m2", "pollen_per_m2", "artificial_detect",
-        "artificial_nectar_fraction",
+        "kappa": _float, "nectar_per_m2": _float, "pollen_per_m2": _float,
+        "artificial_detect": _float, "artificial_nectar_fraction": _float,
     },
     "scouting": {
-        "n_scouts", "steps_per_hour", "step_length", "turn_sigma", "max_range_m",
-        "detection_radius", "dwell_steps", "bias_sigma",
+        "n_scouts": int, "steps_per_hour": int, "step_length": _float, "turn_sigma": _float,
+        "max_range_m": _float, "detection_radius": _float, "dwell_steps": int,
+        "bias_sigma": _float,
     },
     "foraging": {
-        "initial_workers", "forager_fraction", "trips_per_forager_hour",
-        "patches_per_trip", "season_start", "season_end", "reference_distance_m",
-        "scout_cadence_days", "base_cap_h", "fi_cap_h",
+        "initial_workers": int, "forager_fraction": _float,
+        "trips_per_forager_hour": _float, "patches_per_trip": int, "season_start": int,
+        "season_end": int, "reference_distance_m": _float, "scout_cadence_days": int,
+        "base_cap_h": _float, "fi_cap_h": _float,
     },
     "control": {
-        "low_cut", "high_cut", "region_rows", "region_cols",
-        "waypoint_fraction", "search_radius",
+        "low_cut": _float, "high_cut": _float, "region_rows": int, "region_cols": int,
+        "waypoint_fraction": _float, "search_radius": _float,
     },
     "supervisor": {
-        "required_label", "max_artificial_patches", "max_iterations",
-        "loss_tolerance", "w1", "w2", "max_temp_uplift", "max_extra_light_h",
-        "control_grid_steps", "refit_each_iteration",
+        "required_label": _label, "max_artificial_patches": int, "max_iterations": int,
+        "loss_tolerance": _float, "w1": _float, "w2": _float, "max_temp_uplift": _float,
+        "max_extra_light_h": _float, "control_grid_steps": int, "refit_each_iteration": _bool,
     },
 }
+_RENAMES = {"max_range_m": "max_range", "refit_each_iteration": "refit_monitor_each_iteration"}
 
 
 @dataclass(frozen=True)
@@ -91,20 +121,25 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
     return values
 
 
-def _get(values, section, key, default, cast):
-    raw = values.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        if cast is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}")
+def _typed(values: dict[str, dict[str, str]]) -> dict[str, dict]:
+    """Cast every value the file sets and rename keys to their field names."""
+    typed: dict[str, dict] = {}
+    for section, keys in values.items():
+        typed[section] = {}
+        for key, raw in keys.items():
+            try:
+                typed[section][_RENAMES.get(key, key)] = _SECTIONS[section][key](raw)
+            except ValueError:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}")
+    return typed
+
+
+def _build(values: dict[str, dict], cls, *sections: str, **given):
+    """``cls`` from the values ``sections`` set for its fields and ``given``;
+    every other field keeps its default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for s in sections for k, v in values.get(s, {}).items() if k in names},
+               **given)
 
 
 def load_scenario(
@@ -116,20 +151,19 @@ def load_scenario(
     values = parse_config(path.read_text(encoding="utf-8"))
     base = path.parent
 
-    g = _get
-    map_rel = g(values, "scenario", "map", None, str)
+    map_rel = values.get("scenario", {}).get("map")
     if map_rel is None:
         raise ConfigError("scenario.map is required")
     map_path = (base / map_rel).resolve()
     if not map_path.is_file():
         raise MapNotFoundError(f"map file not found: {map_path}")
 
-    weather_source = g(values, "weather", "source", "synth", str)
+    weather_source = values.get("weather", {}).get("source", "synth")
     if weather_source not in ("synth", "file"):
         raise ConfigError(f"weather.source must be synth or file, got {weather_source!r}")
     weather_file = None
     if weather_source == "file":
-        rel = g(values, "weather", "file", None, str)
+        rel = values["weather"].get("file")
         if rel is None:
             raise ConfigError("weather.file is required when weather.source = file")
         weather_file = (base / rel).resolve()
@@ -137,7 +171,7 @@ def load_scenario(
             raise WeatherNotFoundError(f"weather file not found: {weather_file}")
 
     try:
-        return _build_scenario(values, map_path, weather_source, weather_file,
+        return _build_scenario(_typed(values), map_path, weather_source, weather_file,
                                seed_override, out_override)
     except ValueError as err:
         # dataclass validators reject out-of-range values
@@ -146,94 +180,34 @@ def load_scenario(
 
 def _build_scenario(values, map_path, weather_source, weather_file,
                     seed_override, out_override) -> Scenario:
-    g = _get
-    climate = ClimateProfile(
-        temp_mean_c=g(values, "weather", "temp_mean_c", 11.0, float),
-        temp_amplitude_c=g(values, "weather", "temp_amplitude_c", 8.0, float),
-        temp_noise_c=g(values, "weather", "temp_noise_c", 2.5, float),
-        sunshine_mean_h=g(values, "weather", "sunshine_mean_h", 8.0, float),
-        sunshine_amplitude_h=g(values, "weather", "sunshine_amplitude_h", 5.0, float),
-        sunshine_noise_h=g(values, "weather", "sunshine_noise_h", 1.5, float),
-        peak_day=g(values, "weather", "peak_day", 196, int),
+    scenario = values.get("scenario", {})
+    foraging = values.get("foraging", {})
+    start, end = ColonyParams.season
+    patch_params = _build(values, PatchParams, "landscape")
+    climate = _build(values, ClimateProfile, "weather")
+    scout = _build(values, ScoutParams, "scouting")
+    colony = _build(
+        values, ColonyParams, "foraging",
+        season=(foraging.get("season_start", start), foraging.get("season_end", end)),
     )
-    patch_params = PatchParams(
-        kappa=g(values, "landscape", "kappa", 0.05, float),
-        nectar_per_m2=g(values, "landscape", "nectar_per_m2", 0.002, float),
-        pollen_per_m2=g(values, "landscape", "pollen_per_m2", 0.1, float),
-        artificial_detect=g(values, "landscape", "artificial_detect", 0.95, float),
-        artificial_nectar_fraction=g(
-            values, "landscape", "artificial_nectar_fraction", 0.1, float
-        ),
-    )
-    scout = ScoutParams(
-        n_scouts=g(values, "scouting", "n_scouts", 150, int),
-        steps_per_hour=g(values, "scouting", "steps_per_hour", 24, int),
-        step_length=g(values, "scouting", "step_length", 0.8, float),
-        turn_sigma=g(values, "scouting", "turn_sigma", 1.6, float),
-        max_range=g(values, "scouting", "max_range_m", 6000.0, float),
-        detection_radius=g(values, "scouting", "detection_radius", 1.8, float),
-        dwell_steps=g(values, "scouting", "dwell_steps", 10, int),
-        bias_sigma=g(values, "scouting", "bias_sigma", 0.3, float),
-    )
-    colony = ColonyParams(
-        initial_workers=g(values, "foraging", "initial_workers", 10000, int),
-        trips_per_forager_hour=g(values, "foraging", "trips_per_forager_hour", 0.1, float),
-        patches_per_trip=g(values, "foraging", "patches_per_trip", 1, int),
-        forager_fraction=g(values, "foraging", "forager_fraction", 0.25, float),
-        season=(
-            g(values, "foraging", "season_start", 91, int),
-            g(values, "foraging", "season_end", 243, int),
-        ),
-        reference_distance_m=g(values, "foraging", "reference_distance_m", 1000.0, float),
-    )
-    thresholds = ThresholdClassifier(
-        low_cut=g(values, "control", "low_cut", 0.2, float),
-        high_cut=g(values, "control", "high_cut", 0.8, float),
-    )
-    required_name = g(values, "supervisor", "required_label", "normal", str).upper()
-    if required_name not in CoverageLabel.__members__:
-        raise ConfigError(f"required_label must be low, normal or high, got {required_name!r}")
-    user_cfg = UserConfig(
-        required_label=CoverageLabel[required_name],
-        max_artificial_patches=g(values, "supervisor", "max_artificial_patches", 30, int),
-        max_iterations=g(values, "supervisor", "max_iterations", 10, int),
-        loss_tolerance=g(values, "supervisor", "loss_tolerance", 0.0, float),
-        w1=g(values, "supervisor", "w1", 0.5, float),
-        w2=g(values, "supervisor", "w2", 0.5, float),
-    )
-    settings = LoopSettings(
+    thresholds = _build(values, ThresholdClassifier, "control")
+    user_cfg = _build(values, UserConfig, "supervisor")
+    settings = _build(
+        values, LoopSettings, "foraging", "control", "supervisor",
         patch_params=patch_params,
-        scout_cadence_days=g(values, "foraging", "scout_cadence_days", 7, int),
-        base_cap_h=g(values, "foraging", "base_cap_h", 9.0, float),
-        fi_cap_h=g(values, "foraging", "fi_cap_h", 16.0, float),
-        region_rows=g(values, "control", "region_rows", 8, int),
-        region_cols=g(values, "control", "region_cols", 8, int),
-        placement=PlacementPolicy(
-            waypoint_fraction=g(values, "control", "waypoint_fraction", 0.7, float),
-            search_radius=g(values, "control", "search_radius", 8.0, float),
-        ),
-        bounds=ControlBounds(
-            max_temp_uplift=g(values, "supervisor", "max_temp_uplift", 3.0, float),
-            max_extra_light_h=g(values, "supervisor", "max_extra_light_h", 5.0, float),
-        ),
-        control_grid_steps=g(values, "supervisor", "control_grid_steps", 7, int),
-        refit_monitor_each_iteration=g(
-            values, "supervisor", "refit_each_iteration", False, bool
-        ),
+        placement=_build(values, PlacementPolicy, "control"),
+        bounds=_build(values, ControlBounds, "supervisor"),
     )
-    classifier_kind = g(values, "scenario", "classifier", "threshold", str)
+    classifier_kind = scenario.get("classifier", "threshold")
     if classifier_kind not in ("threshold", "softmax"):
         raise ConfigError(f"classifier must be threshold or softmax, got {classifier_kind!r}")
 
-    seed = g(values, "scenario", "seed", 42, int)
-    if seed_override is not None:
-        seed = seed_override
+    seed = scenario.get("seed", 42) if seed_override is None else seed_override
     if not 0 <= seed < 1 << 64:
         raise OutOfRangeValueError(f"seed must be in [0, 2**64), got {seed}")
     # input paths resolve against the config; the output directory resolves
     # against the invocation directory so bundled configs stay read-only
-    out = g(values, "scenario", "out", "runs/out", str)
-    out_dir = Path(out_override) if out_override is not None else Path(out)
+    out_dir = Path(out_override if out_override is not None else scenario.get("out", "runs/out"))
 
     return Scenario(
         map_path=map_path,

@@ -82,9 +82,6 @@ class CellGrid:
     def traversable_count(self) -> int:
         return int(np.count_nonzero(self.cells != OBSTACLE))
 
-    def cell_xy_m(self, col: int, row: int) -> tuple[float, float]:
-        return (col + 0.5) * self.cell_size, (row + 0.5) * self.cell_size
-
 
 @dataclass(frozen=True)
 class Patch:
@@ -187,8 +184,8 @@ def parse_map(text: str) -> CellGrid:
         )
     if not hives.size:
         raise NoHiveError("map contains no hive cell")
-    if cell_size <= 0:
-        raise UnknownSymbolError(f"cell_size_m must be positive, got {cell_size}")
+    if not (cell_size > 0 and math.isfinite(cell_size)):
+        raise UnknownSymbolError(f"cell_size_m must be positive and finite, got {cell_size}")
     cells = kinds.reshape(len(grid_rows), width)
     return CellGrid(width=width, height=len(grid_rows), cell_size=cell_size, cells=cells)
 
@@ -238,64 +235,64 @@ def _connected_components(mask: np.ndarray) -> list[list[int]]:
     return components
 
 
+def _patch(grid, hive_xy, members, pid, artificial, detect, nectar, pollen) -> Patch:
+    cs = grid.cell_size
+    width = grid.width
+    xs = [(i % width + 0.5) * cs for i in members]
+    ys = [(i // width + 0.5) * cs for i in members]
+    centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
+    return Patch(
+        id=pid,
+        centroid=centroid,
+        area=len(members) * cs * cs,
+        cell_members=tuple(sorted(members)),
+        distance_from_hive=math.hypot(centroid[0] - hive_xy[0], centroid[1] - hive_xy[1]),
+        nectar_quantity=nectar,
+        pollen_quantity=pollen,
+        detection_probability=detect,
+        artificial=artificial,
+    )
+
+
 def derive_patches(grid: CellGrid, params: PatchParams = PatchParams()) -> list[Patch]:
     """One Patch per 4-connected crop component, then artificial clusters.
 
     Ids are assigned in scan order (crop patches first), so the numbering is
     deterministic for a given grid.
     """
-    hx, hy = grid.hive_xy_m
+    hive_xy = grid.hive_xy_m
     cs = grid.cell_size
-    width = grid.width
-    patches: list[Patch] = []
-
-    def build(members, pid, artificial, detect, nectar, pollen):
-        xs = [(i % width + 0.5) * cs for i in members]
-        ys = [(i // width + 0.5) * cs for i in members]
-        centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
-        flat = tuple(sorted(members))
-        return Patch(
-            id=pid,
-            centroid=centroid,
-            area=len(members) * cs * cs,
-            cell_members=flat,
-            distance_from_hive=math.hypot(centroid[0] - hx, centroid[1] - hy),
-            nectar_quantity=nectar,
-            pollen_quantity=pollen,
-            detection_probability=detect,
-            artificial=artificial,
-        )
-
-    crop_components = _connected_components(grid.cells == CROP)
-    for members in crop_components:
+    crop: list[Patch] = []
+    for members in _connected_components(grid.cells == CROP):
         n = len(members)
         area_m2 = n * cs * cs
-        patches.append(
-            build(
-                members,
-                len(patches),
-                False,
-                1.0 - math.exp(-params.kappa * n),
-                params.nectar_per_m2 * area_m2,
-                params.pollen_per_m2 * area_m2,
-            )
-        )
+        detect = 1.0 - math.exp(-params.kappa * n)
+        nectar, pollen = params.nectar_per_m2 * area_m2, params.pollen_per_m2 * area_m2
+        crop.append(_patch(grid, hive_xy, members, len(crop), False, detect, nectar, pollen))
+    return crop + artificial_patches(grid, crop, params)
 
-    mean_crop_nectar = (
-        sum(p.nectar_quantity for p in patches) / len(patches) if patches else 0.0
-    )
-    for members in _connected_components(grid.cells == ARTIFICIAL):
-        patches.append(
-            build(
-                members,
-                len(patches),
-                True,
-                params.artificial_detect,
-                params.artificial_nectar_fraction * mean_crop_nectar,
-                0.0,
-            )
-        )
-    return patches
+
+def artificial_nectar(crop: list[Patch], params: PatchParams) -> float:
+    """Nectar of one artificial patch: a fraction of the mean crop patch nectar."""
+    mean_crop_nectar = sum(p.nectar_quantity for p in crop) / len(crop) if crop else 0.0
+    return params.artificial_nectar_fraction * mean_crop_nectar
+
+
+def artificial_patches(
+    grid: CellGrid, crop: list[Patch], params: PatchParams = PatchParams()
+) -> list[Patch]:
+    """One Patch per 4-connected artificial component, numbered after ``crop``.
+
+    ``crop`` is the grid's crop patches. Placing artificial food on empty
+    cells leaves them unchanged, so a caller that edits only artificial cells
+    derives them once and this part per edit.
+    """
+    hive_xy = grid.hive_xy_m
+    nectar = artificial_nectar(crop, params)
+    return [
+        _patch(grid, hive_xy, members, len(crop) + i, True, params.artificial_detect, nectar, 0.0)
+        for i, members in enumerate(_connected_components(grid.cells == ARTIFICIAL))
+    ]
 
 
 def tile_regions(grid: CellGrid, rows: int, cols: int) -> RegionTiling:

@@ -21,7 +21,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .rng import generator
-from .weather import DayWeather, EnvControl
+from .weather import DayWeather, EnvControl, control_effect
 
 FEATURE_NAMES = ("max_temp_c", "light_h", "day_sin", "day_cos")
 RIDGE_LAMBDA = 1e-8
@@ -42,10 +42,7 @@ class LinearModel:
 
 def day_features(dw: DayWeather, ctrl: EnvControl | None, cap: float) -> tuple[float, ...]:
     """Feature vector for one day under an optional control."""
-    uplift = extra = 0.0
-    if ctrl is not None and ctrl.active_on(dw.day):
-        uplift = ctrl.temp_uplift
-        extra = ctrl.extra_light_hours
+    uplift, extra = control_effect(ctrl, dw.day)
     angle = 2.0 * math.pi * dw.day / 365.0
     return (
         dw.max_temp + uplift,

@@ -37,6 +37,8 @@ from .landscape import (
     Patch,
     PatchParams,
     RegionTiling,
+    artificial_nectar,
+    artificial_patches,
     derive_patches,
     tile_regions,
     with_artificial,
@@ -91,6 +93,16 @@ class LoopSettings:
     control_grid_steps: int = 7
     refit_monitor_each_iteration: bool = False
 
+    def __post_init__(self):
+        if not (0.0 < self.base_cap_h <= 24.0 and 0.0 < self.fi_cap_h <= 24.0):
+            raise ValueError("base_cap_h and fi_cap_h must be in (0, 24]")
+        if self.scout_cadence_days < 1 or self.control_grid_steps < 1:
+            raise ValueError("scout_cadence_days and control_grid_steps must be >= 1")
+
+    def cap_h(self, ctrl: EnvControl | None) -> float:
+        """Daily foraging hour cap: the FI cap once a control acts."""
+        return self.base_cap_h if ctrl is None else self.fi_cap_h
+
 
 @dataclass(frozen=True)
 class LoopStep:
@@ -119,6 +131,21 @@ class FiPlan:
     # loop derived them when it accepted its last iteration.
     final_patches: tuple[Patch, ...]
     region_labels: tuple[tuple[RegionFeatures, CoverageLabel], ...]
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """One landscape run for a season under one control, then classified."""
+
+    grid: CellGrid
+    patches: list[Patch]
+    ctrl: EnvControl | None
+    season: SeasonRecord
+    features: list[RegionFeatures]
+    labels: dict[int, CoverageLabel]
+
+    def labeled(self) -> list[tuple[RegionFeatures, CoverageLabel]]:
+        return [(f, self.labels[f.region_id]) for f in self.features]
 
 
 def coverage_loss(
@@ -201,34 +228,35 @@ def run_fi_loop(
     """
     window = colony.season
     tiling = tile_regions(grid, settings.region_rows, settings.region_cols)
-    patches = derive_patches(grid, settings.patch_params)
+    # with_artificial only fills empty cells, so every candidate has these
+    crop = [p for p in derive_patches(grid, settings.patch_params) if not p.artificial]
 
-    baseline = run_season(
-        grid, patches, weather, None, colony, settings.scout_cadence_days,
-        scout_params, seed, settings.base_cap_h, collect_trajectories,
-    )
+    def evaluate(
+        cand_grid: CellGrid, ctrl: EnvControl | None, collect: bool = False
+    ) -> _Evaluation:
+        patches = crop + artificial_patches(cand_grid, crop, settings.patch_params)
+        season = run_season(
+            cand_grid, patches, weather, ctrl, colony, settings.scout_cadence_days,
+            scout_params, seed, settings.cap_h(ctrl), collect,
+        )
+        feats = extract_features(season.scout_report.coverage, tiling, cand_grid)
+        labels = classify_regions(classifier, feats)
+        return _Evaluation(cand_grid, patches, ctrl, season, feats, labels)
 
-    feats = extract_features(baseline.scout_report.coverage, tiling, grid)
-    required = required_labels(
-        grid, tiling, cfg.required_label, [f.region_id for f in feats]
-    )
-    labels = classify_regions(classifier, feats)
-    best_loss = coverage_loss(labels, required)
-
-    def choose_control(season: SeasonRecord, ctrl: EnvControl | None) -> EnvControl | None:
-        """Fit the monitor on a season run under ``ctrl``; pick the next control.
+    def choose_control(incumbent: _Evaluation) -> EnvControl | None:
+        """Fit the monitor on the incumbent's season; pick the next control.
 
         A season that cannot identify the monitor, with fewer days than
         coefficients or the same visits every day (an enclosed hive, no
         crop), gives no control.
         """
-        cap = settings.base_cap_h if ctrl is None else settings.fi_cap_h
+        cap = settings.cap_h(incumbent.ctrl)
         samples = [
             MonitorSample(
-                day_features(weather.day(d.day), ctrl, cap),
+                day_features(weather.day(d.day), incumbent.ctrl, cap),
                 float(sum(d.visits_per_patch.values())),
             )
-            for d in season.days
+            for d in incumbent.season.days
         ]
         visits = [s.target for s in samples]
         if len(samples) < len(FEATURE_NAMES) + 1 or min(visits) == max(visits):
@@ -239,79 +267,59 @@ def run_fi_loop(
         )
         return _effective(best)
 
-    ctrl_eff = choose_control(baseline, None)
-
-    mean_crop_nectar = (
-        sum(p.nectar_quantity for p in patches if not p.artificial)
-        / max(1, sum(1 for p in patches if not p.artificial))
+    baseline = cur = evaluate(grid, None, collect_trajectories)
+    required = required_labels(
+        grid, tiling, cfg.required_label, [f.region_id for f in baseline.features]
     )
+    best_loss = coverage_loss(baseline.labels, required)
+    ctrl_eff = choose_control(baseline)
     policy = replace(
         settings.placement,
         artificial_detect=settings.patch_params.artificial_detect,
-        artificial_nectar_l=settings.patch_params.artificial_nectar_fraction
-        * mean_crop_nectar,
+        artificial_nectar_l=artificial_nectar(crop, settings.patch_params),
     )
-
-    grid_cur = grid
-    patches_cur = patches
-    season_cur = baseline
     placed: list[PatchProposal] = []
     steps: list[LoopStep] = []
-    accepted_ctrl: EnvControl | None = None
 
     for _ in range(cfg.max_iterations):
         if best_loss <= cfg.loss_tolerance:
             break
-        if settings.refit_monitor_each_iteration and season_cur is not baseline:
-            ctrl_eff = choose_control(season_cur, accepted_ctrl)
+        if settings.refit_monitor_each_iteration and cur is not baseline:
+            ctrl_eff = choose_control(cur)
         remaining = cfg.max_artificial_patches - len(placed)
-        labeled = [(f, labels[f.region_id]) for f in feats]
         proposals = propose_patches(
-            labeled, tiling, grid_cur, min(PATCHES_PER_ITERATION, remaining), policy
+            cur.labeled(), tiling, cur.grid, min(PATCHES_PER_ITERATION, remaining), policy
         )
-        ctrl_is_new = accepted_ctrl is None and ctrl_eff is not None
+        ctrl_is_new = cur.ctrl is None and ctrl_eff is not None
         if not proposals and not ctrl_is_new:
             break
 
-        cand_grid = with_artificial(grid_cur, [p.cell for p in proposals])
-        cand_patches = derive_patches(cand_grid, settings.patch_params)
-        cap = settings.base_cap_h if ctrl_eff is None else settings.fi_cap_h
-        cand_season = run_season(
-            cand_grid, cand_patches, weather, ctrl_eff, colony,
-            settings.scout_cadence_days, scout_params, seed, cap,
-        )
-        cand_feats = extract_features(cand_season.scout_report.coverage, tiling, cand_grid)
-        cand_labels = classify_regions(classifier, cand_feats)
-        cand_loss = coverage_loss(cand_labels, required)
+        cand = evaluate(with_artificial(cur.grid, [p.cell for p in proposals]), ctrl_eff)
+        cand_loss = coverage_loss(cand.labels, required)
 
         if cand_loss >= best_loss:
             break  # roll back this iteration's patches and stop
-        grid_cur = cand_grid
-        patches_cur = cand_patches
-        season_cur = cand_season
-        feats, labels = cand_feats, cand_labels
-        best_loss = cand_loss
+        cur, best_loss = cand, cand_loss
         placed.extend(proposals)
-        accepted_ctrl = ctrl_eff
         steps.append(
             LoopStep(
                 iteration=len(steps) + 1,
                 loss=cand_loss,
-                covered_area_fraction=cand_season.totals.covered_area_fraction,
-                detected_fraction=cand_season.totals.detected_fraction,
-                total_visits=cand_season.totals.total_visits,
+                covered_area_fraction=cand.season.totals.covered_area_fraction,
+                detected_fraction=cand.season.totals.detected_fraction,
+                total_visits=cand.season.totals.total_visits,
             )
         )
 
     plan = FiPlan(
         placed_patches=tuple(placed),
-        env_control=accepted_ctrl if accepted_ctrl is not None else EnvControl(0.0, 0.0, window),
+        env_control=cur.ctrl if cur.ctrl is not None else EnvControl(0.0, 0.0, window),
         iterations_used=len(steps),
         final_loss=best_loss,
-        final_patches=tuple(patches_cur),
-        region_labels=tuple((f, labels[f.region_id]) for f in feats),
+        final_patches=tuple(cur.patches),
+        region_labels=tuple(cur.labeled()),
     )
-    return plan, LoopTrace(tuple(steps)), baseline, season_cur
+    return plan, LoopTrace(tuple(steps)), baseline.season, cur.season
 
 
 def write_fi_plan_csv(path, plan: FiPlan) -> None:

@@ -95,9 +95,10 @@ def load_weather(text: str) -> WeatherSeries:
         parts = ln.split(",")
         if len(parts) != 3:
             raise OutOfRangeValueError(f"bad weather row: {ln!r}")
-        day = int(parts[0])
-        temp = float(parts[1])
-        sun = float(parts[2])
+        try:
+            day, temp, sun = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            raise OutOfRangeValueError(f"non-numeric weather row: {ln!r}")
         if day in by_day:
             raise DuplicateDayError(f"day {day} appears twice")
         if not (1 <= day <= DAYS_PER_YEAR):
@@ -138,6 +139,13 @@ def synth_weather(seed: int, profile: ClimateProfile = ClimateProfile()) -> Weat
     return WeatherSeries(days)
 
 
+def control_effect(ctrl: EnvControl | None, day: int) -> tuple[float, float]:
+    """(temperature uplift, extra light hours) that ``ctrl`` applies on ``day``."""
+    if ctrl is None or not ctrl.active_on(day):
+        return 0.0, 0.0
+    return ctrl.temp_uplift, ctrl.extra_light_hours
+
+
 def foraging_hours(dw: DayWeather, ctrl: EnvControl | None, cap: float) -> float:
     """Hours available for foraging on one day.
 
@@ -146,11 +154,7 @@ def foraging_hours(dw: DayWeather, ctrl: EnvControl | None, cap: float) -> float
     """
     if not (0.0 < cap <= 24.0):
         raise ValueError(f"cap must be in (0, 24], got {cap}")
-    uplift = 0.0
-    extra = 0.0
-    if ctrl is not None and ctrl.active_on(dw.day):
-        uplift = ctrl.temp_uplift
-        extra = ctrl.extra_light_hours
+    uplift, extra = control_effect(ctrl, dw.day)
     if dw.max_temp + uplift < FORAGING_MIN_TEMP_C:
         return 0.0
     return min(dw.sunshine_hours + extra, cap)

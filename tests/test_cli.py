@@ -307,3 +307,99 @@ def test_largest_u64_seed_runs(tmp_path):
     assert main(["baseline", "--config", str(config), "--seed", str(2**64 - 1),
                  "--out", str(out)]) == 0
     assert (out / "season.csv").is_file()
+
+
+def assert_one_error(capsys, code: str, out: Path) -> None:
+    assert capsys.readouterr().err.splitlines() == [f"error: {code}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "[foraging]\nbase_cap_h = 30",
+        "[foraging]\nfi_cap_h = 0",
+        "[foraging]\nscout_cadence_days = 0",
+        "[supervisor]\ncontrol_grid_steps = 0",
+        "[scouting]\nstep_length = nan",
+        "[supervisor]\nw1 = nan\nw2 = nan",
+    ],
+    ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights"],
+)
+def test_bad_scenario_value_fails_at_load(tmp_path, capsys, extra):
+    config = write_config(tmp_path, n_scouts=10)
+    config.write_text(config.read_text() + "\n" + extra + "\n")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi", "train-monitor"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "ConfigError", out)
+
+
+@pytest.mark.parametrize("cell_size", ["nan", "inf"])
+def test_non_finite_cell_size_rejected(tmp_path, capsys, cell_size):
+    config = write_config(tmp_path, n_scouts=10)
+    path = tmp_path / "field.map"
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    assert header.startswith("# cell_size_m")
+    path.write_text(f"# cell_size_m = {cell_size}\n{rest}", encoding="utf-8")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "UnknownSymbol", out)
+
+
+@pytest.mark.parametrize("row", ["42,warm,8.0", "42,18.0,", "4.2e1,18.0,8.0"])
+def test_non_numeric_weather_field_rejected(tmp_path, capsys, row):
+    lines = ["day,max_temp_c,sunshine_h"]
+    lines += [row if d == 42 else f"{d},18.0,8.0" for d in range(1, 366)]
+    (tmp_path / "weather.csv").write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, weather_block="source = file\nfile = weather.csv")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+SEASON_HEADER = (
+    "day,foraging_h,trips,trips_per_sun_h,total_visits,detected_patches,covered_area_frac"
+)
+
+
+def write_season(path: Path, header: str, row: str) -> None:
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "header,row",
+    [
+        (SEASON_HEADER.replace(",covered_area_frac", ""), "130,9.0,10,1.0,10,3"),
+        (SEASON_HEADER.replace("day,", "when,"), "130,9.0,10,1.0,10,3,0.5"),
+        (SEASON_HEADER, "130,9.0,10,1.0"),
+    ],
+    ids=["no_metric", "no_day", "short_row"],
+)
+def test_report_bad_season_export(tmp_path, capsys, header, row):
+    write_season(tmp_path / "season_baseline.csv", SEASON_HEADER, "130,9.0,10,1.0,10,3,0.5")
+    write_season(tmp_path / "season_fi.csv", header, row)
+    assert main(["report", str(tmp_path)]) != 0
+    assert_one_error(capsys, "MissingArtifacts", tmp_path / "report.csv")
+
+
+@pytest.mark.parametrize(
+    "header,row",
+    [
+        (SEASON_HEADER.replace(",total_visits", ""), "130,9.0,10,1.0,3,0.5"),
+        (SEASON_HEADER, "130,9.0,10"),
+        ("", ""),
+    ],
+    ids=["no_visits", "short_row", "no_header"],
+)
+def test_train_monitor_bad_season_export(tmp_path, capsys, header, row):
+    config = write_config(tmp_path, n_scouts=10)
+    season = tmp_path / "season.csv"
+    write_season(season, header, row)
+    out = tmp_path / "x"
+    code = main(["train-monitor", "--config", str(config), "--out", str(out),
+                 "--season", str(season)])
+    assert code != 0
+    assert_one_error(capsys, "MissingArtifacts", out)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beeloop.errors import (
     MultipleHivesError,
@@ -26,6 +26,7 @@ from beeloop.landscape import (
     Patch,
     PatchParams,
     RegionTiling,
+    artificial_patches,
     derive_patches,
     parse_map,
     region_centroids_m,
@@ -587,6 +588,45 @@ def test_derive_patches_matches_reference(width, height, seed, cell_size):
     grid = random_grid(width, height, seed, cell_size=cell_size)
     params = PatchParams(kappa=0.07, artificial_nectar_fraction=0.3)
     assert derive_patches(grid, params) == ref_derive_patches(grid, params)
+
+
+def crop_of(patches):
+    return [p for p in patches if not p.artificial]
+
+
+@given(
+    st.integers(1, 14),
+    st.integers(1, 14),
+    st.integers(0, 2**32),
+    st.sampled_from([".YYYAA#", ".AAAA#", ".YYY#", ".Y.A"]),
+    st.sampled_from([125.0, 0.3, 7.1]),
+    st.integers(0, 8),
+)
+@example(6, 5, 11, ".AAAA#", 0.3, 8)  # no crop, artificial clusters of several cells
+@settings(max_examples=150, deadline=None)
+def test_crop_once_plus_artificial_patches_is_derive_patches(
+    width, height, seed, symbols, cell_size, n_new
+):
+    """Crop patches derived before ``with_artificial`` plus the edited grid's
+    artificial patches are the edited grid's patches, with or without ``A``
+    cells in the original map."""
+    grid = random_grid(width, height, seed, symbols, cell_size)
+    params = PatchParams(kappa=0.07, artificial_nectar_fraction=0.3)
+    crop = crop_of(ref_derive_patches(grid, params))
+    empty = np.argwhere(grid.cells == EMPTY)
+    picks = np.random.Generator(np.random.Philox(key=seed)).permutation(len(empty))[:n_new]
+    edited = with_artificial(grid, [(int(empty[i, 1]), int(empty[i, 0])) for i in picks])
+    want = ref_derive_patches(edited, params)
+    assert crop + artificial_patches(edited, crop, params) == want
+    assert derive_patches(edited, params) == want
+
+
+def test_crop_once_plus_large_artificial_components(tiled):
+    crop = crop_of(derive_patches(tiled))
+    beacons = beacon_grid(tiled)
+    artificial = artificial_patches(beacons, crop)
+    assert max(len(p.cell_members) for p in artificial) > 100
+    assert crop + artificial == derive_patches(beacons)
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 12), st.integers(0, 12))

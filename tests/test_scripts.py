@@ -13,14 +13,18 @@ from conftest import tiled_grid
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_verify_map(map_path: Path) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     package_root = str(Path(beeloop.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / "verify_map.py"), str(map_path)],
+        [sys.executable, str(SCRIPTS / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_verify_map(map_path: Path) -> subprocess.CompletedProcess:
+    return run_script("verify_map.py", str(map_path))
 
 
 def test_verify_map_desk_agrees():
@@ -48,3 +52,19 @@ def test_verify_map_exits_1_on_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["verify_map.py"])
     assert module.main() == 1
     assert capsys.readouterr().err == "mismatch: union-find 245 != derive_patches 244\n"
+
+
+def test_artifact_digests_repeat():
+    """Two runs of the digest matrix at one seed print the same digests."""
+    first, second = (run_script("artifact_digests.py", "--seeds", "1") for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    # five desk variants at seed 1 plus the tiling at seed 42; each case writes
+    # 5 baseline files, 13 fi files and report.csv
+    assert len(lines) == 6 * 19
+    assert {line.split("  ")[1].split("/")[0] for line in lines} == {
+        "desk_seed1", "refit_seed1", "softmax_seed1", "cold_seed1", "empty_season_seed1",
+        "tiled_seed42",
+    }
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert second.stdout == first.stdout

@@ -174,6 +174,19 @@ def test_user_config_validation():
         UserConfig(max_artificial_patches=-1)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"base_cap_h": 30.0}, {"base_cap_h": 0.0}, {"fi_cap_h": 24.5},
+        {"scout_cadence_days": 0}, {"control_grid_steps": 0},
+    ],
+)
+def test_loop_settings_validation(bad):
+    with pytest.raises(ValueError):
+        LoopSettings(**bad)
+    LoopSettings(base_cap_h=24.0, fi_cap_h=0.5, scout_cadence_days=1, control_grid_steps=1)
+
+
 def _assert_final_artifacts_rederive(grid, plan, final, classifier, settings):
     """The loop's final patches and labels equal a fresh derivation from the plan."""
     final_grid = with_artificial(grid, [p.cell for p in plan.placed_patches])
@@ -194,6 +207,25 @@ def test_loop_final_artifacts_after_accepted_iterations(desk_grid):
     assert plan.iterations_used >= 1
     assert any(p.artificial for p in plan.final_patches)
     _assert_final_artifacts_rederive(desk_grid, plan, final, classifier, FAST_SETTINGS)
+
+
+def test_loop_final_artifacts_with_artificial_cells_in_the_map(desk_grid):
+    """Map ``A`` cells are artificial patches of every candidate, and placed
+    patches carry the nectar the landscape gives artificial patches."""
+    grid = with_artificial(desk_grid, [(0, 0), (1, 0), (0, 1), (40, 5)])
+    cfg = UserConfig(max_artificial_patches=9, max_iterations=4)
+    classifier = ThresholdClassifier()
+    plan, trace, baseline, final = run_fi_loop(
+        grid, synth_weather(8), FAST_COLONY, FAST_SCOUTS,
+        classifier, cfg, seed=7, settings=FAST_SETTINGS,
+    )
+    assert plan.iterations_used >= 1
+    artificial = [p for p in plan.final_patches if p.artificial]
+    assert len(artificial) == 2 + len(plan.placed_patches)
+    assert {p.nectar_quantity for p in plan.placed_patches} == {
+        p.nectar_quantity for p in artificial
+    }
+    _assert_final_artifacts_rederive(grid, plan, final, classifier, FAST_SETTINGS)
 
 
 def test_loop_final_artifacts_without_iterations(desk_grid):
