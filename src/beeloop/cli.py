@@ -104,22 +104,27 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
 
 
 def _read_season_csv(path: Path, columns: list[str]) -> list[dict[str, str]]:
-    """Rows of a season export, each holding at least ``columns``.
+    """Rows of a season export, each holding an integer ``day`` and ``columns``.
 
-    A missing file, a missing column or a row of the wrong width is a
-    MissingArtifacts error.
+    A missing file, a missing column, a row of the wrong width or a day that
+    is not an integer is a MissingArtifacts error.
     """
     if not path.is_file():
         raise MissingArtifactsError(f"missing season export: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
-    missing = [c for c in columns if c not in header]
+    missing = [c for c in ["day", *columns] if c not in header]
     if missing:
         raise MissingArtifactsError(f"{path} has no column {missing[0]!r}")
     rows = [line.split(",") for line in lines[1:]]
+    day = header.index("day")
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise MissingArtifactsError(f"{path} line {lineno} has {len(row)} fields")
+        try:
+            int(row[day])
+        except ValueError:
+            raise MissingArtifactsError(f"{path} line {lineno} has day {row[day]!r}")
     return [dict(zip(header, row)) for row in rows]
 
 
@@ -132,7 +137,7 @@ def cmd_report(run_dir: Path) -> int:
     sources = {"baseline": run_dir / "season_baseline.csv", "fi": run_dir / "season_fi.csv"}
     rows = []
     for scenario_name, path in sources.items():
-        for record in _read_season_csv(path, ["day", *metrics]):
+        for record in _read_season_csv(path, metrics):
             for m in metrics:
                 rows.append((m, scenario_name, record["day"], record[m]))
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
@@ -146,7 +151,7 @@ def cmd_report(run_dir: Path) -> int:
 def cmd_train_monitor(scenario, season_csv: Path | None) -> int:
     """Fit the monitoring model from a season export and print it."""
     path = season_csv if season_csv is not None else scenario.out_dir / "season.csv"
-    records = _read_season_csv(path, ["day", "total_visits"])
+    records = _read_season_csv(path, ["total_visits"])
     weather = config_mod.weather_for(scenario)
     samples = [
         MonitorSample(

@@ -16,16 +16,20 @@ onto the lowest-id patch it newly detects. This local attraction is what
 lets small high-detectability patches act as waypoints.
 
 Randomness is split into two streams so that landscape edits have only
-causal effects. Movement draws (turn noise plus a fixed block of retry
-directions per step) come from a Philox stream with constant per-step
-consumption; episode draws are computed by hashing (seed, scout, patch,
-step), so they are order-independent. Adding a patch therefore leaves every
-scout's walk bitwise unchanged until some scout actually senses it.
+causal effects. Movement draws come from a Philox stream in the same block
+every step, whatever the scouts do: n standard normals (turn noise), then
+n x 4 raw 64-bit words, all of them always consumed. Only a blocked scout
+converts its words into retry directions, as ``uniform(0, 2 pi)`` would:
+``(word >> 11) * 2**-53 * 2 pi``. Episode draws are computed by hashing
+(seed, scout, patch, step), so they are order-independent. Adding a patch
+therefore leaves every scout's walk bitwise unchanged until some scout
+actually senses it.
 
 The walk is vectorized over scouts: each step is a fixed sequence of array
 operations over all of them, with no per-scout Python loop. The sensing map
 is a CSR table (cell -> sorted patch ids), so a scout's newly sensed patches
-are its current cell's row minus its previous cell's row.
+are its current cell's row minus its previous cell's row: each entry of the
+one is compared with every entry of the other, and rows are short.
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
@@ -138,6 +142,16 @@ def _row_pairs(row_start, row_len, indices, cells, scouts):
     return np.repeat(scouts, counts), indices[pos]
 
 
+def _blocked(px, py, obstacle):
+    """Indices of the points ``(px, py)`` off the grid or in an obstacle cell."""
+    height, width = obstacle.shape
+    inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+    ii = np.flatnonzero(inside)
+    cell = py[ii].astype(np.int64) * width + px[ii].astype(np.int64)
+    inside[ii[obstacle.ravel()[cell]]] = False
+    return np.flatnonzero(~inside)
+
+
 def _make_report(coverage, detected, n_patches, traversable, trajectories=None) -> ScoutReport:
     visited = int(np.count_nonzero(coverage))
     return ScoutReport(
@@ -183,9 +197,11 @@ def simulate_at_checkpoints(
     episode_key = derive_seed(seed, "detect")
     n = params.n_scouts
     hx, hy = grid.hive_cell
-    start = np.array([hx + 0.5, hy + 0.5])
-    pos = np.tile(start, (n, 1))
+    x0, y0 = hx + 0.5, hy + 0.5
+    x = np.full(n, x0)
+    y = np.full(n, y0)
     heading = move_rng.uniform(0.0, 2.0 * math.pi, n)
+    turn_noise = np.empty(n)
     target = np.full(n, -1, dtype=np.int64)
     dwell = np.zeros(n, dtype=np.int64)
 
@@ -194,6 +210,7 @@ def simulate_at_checkpoints(
     # Row n_cells is empty: the "previous cell" of every scout before step 1.
     row_start = np.append(indptr[:-1], 0)
     row_len = np.append(np.diff(indptr), 0)
+    max_row = int(row_len.max())
     prev_flat = np.full(n, n_cells, dtype=np.int64)
 
     # Per-patch lookups indexed by patch id.
@@ -201,8 +218,9 @@ def simulate_at_checkpoints(
     n_ids = int(ids.max()) + 1 if ids.size else 0
     detect_prob = np.zeros(n_ids)
     detect_prob[ids] = [p.detection_probability for p in patches]
-    centroid_cells = np.zeros((n_ids, 2))
-    centroid_cells[ids] = np.reshape([p.centroid for p in patches], (-1, 2)) / grid.cell_size
+    centroid = np.zeros((2, n_ids))
+    centroid[:, ids] = np.reshape([p.centroid for p in patches], (-1, 2)).T / grid.cell_size
+    centroid_x, centroid_y = centroid
     # Episode draw mix64(mix64(mix64(key ^ mix64(scout)) ^ mix64(patch)) ^
     # mix64(step)): the scout and patch terms are hashed once per walk.
     scout_hash = mix64_array(np.uint64(episode_key) ^ mix64_array(np.arange(n, dtype=np.uint64)))
@@ -226,70 +244,67 @@ def simulate_at_checkpoints(
         snapshots[0] = _make_report(coverage.copy(), (), n_patches, traversable, traj0)
 
     for step in range(1, total_steps + 1):
-        # Per-step draws are a fixed block (n turn noises, n x retries
-        # directions) so one scout's detour never shifts another's stream.
-        turn_noise = move_rng.normal(0.0, 1.0, n)
-        retry_dirs = move_rng.uniform(0.0, 2.0 * math.pi, (n, _MAX_STEP_RETRIES))
+        # Per-step draws are a fixed block (n turn noises, n x retries raw
+        # words) so one scout's detour never shifts another's stream.
+        move_rng.standard_normal(out=turn_noise)
+        retry_words = move_rng.bit_generator.random_raw((n, _MAX_STEP_RETRIES))
 
         # Base heading: leash overrides attraction overrides persistence.
-        dist = np.hypot(pos[:, 0] - start[0], pos[:, 1] - start[1])
-        leashed = dist > leash_cells
+        leashed = np.hypot(x - x0, y - y0) > leash_cells
         attracted = (target >= 0) & ~leashed
         sigma = np.where(attracted, params.bias_sigma, params.turn_sigma)
         if leashed.any():
-            idx = np.nonzero(leashed)[0]
-            heading[idx] = np.arctan2(start[1] - pos[idx, 1], start[0] - pos[idx, 0])
+            idx = np.flatnonzero(leashed)
+            heading[idx] = np.arctan2(y0 - y[idx], x0 - x[idx])
         if attracted.any():
-            idx = np.nonzero(attracted)[0]
-            tx, ty = centroid_cells[target[idx]].T
-            heading[idx] = np.arctan2(ty - pos[idx, 1], tx - pos[idx, 0])
-        heading = heading + sigma * turn_noise
+            idx = np.flatnonzero(attracted)
+            t = target[idx]
+            heading[idx] = np.arctan2(centroid_y[t] - y[idx], centroid_x[t] - x[idx])
+        sigma *= turn_noise
+        heading += sigma
 
-        # Step proposal with obstacle re-sampling, then reflect in place.
-        prop_x = pos[:, 0] + step_len * np.cos(heading)
-        prop_y = pos[:, 1] + step_len * np.sin(heading)
-        for attempt in range(_MAX_STEP_RETRIES + 1):
-            inside = (prop_x >= 0) & (prop_x < width) & (prop_y >= 0) & (prop_y < height)
-            blocked = ~inside
-            if inside.any():
-                ii = np.nonzero(inside)[0]
-                hit = blocked_cells[
-                    prop_y[ii].astype(np.int64), prop_x[ii].astype(np.int64)
-                ]
-                blocked[ii[hit]] = True
-            if not blocked.any() or attempt == _MAX_STEP_RETRIES:
+        # Step proposal. Blocked scouts re-sample a direction (bounded
+        # retries) and only they are rechecked; what stays blocked reflects.
+        prop_x = x + step_len * np.cos(heading)
+        prop_y = y + step_len * np.sin(heading)
+        idx = _blocked(prop_x, prop_y, blocked_cells)
+        for attempt in range(_MAX_STEP_RETRIES):
+            if not idx.size:
                 break
-            idx = np.nonzero(blocked)[0]
-            heading[idx] = retry_dirs[idx, attempt]
-            prop_x[idx] = pos[idx, 0] + step_len * np.cos(heading[idx])
-            prop_y[idx] = pos[idx, 1] + step_len * np.sin(heading[idx])
-        if blocked.any():
-            idx = np.nonzero(blocked)[0]
+            # uniform(0, 2 pi) from the scout's raw word, as numpy converts it.
+            turn = (retry_words[idx, attempt] >> np.uint64(11)) * 2.0**-53 * (2.0 * math.pi)
+            heading[idx] = turn
+            px = x[idx] + step_len * np.cos(turn)
+            py = y[idx] + step_len * np.sin(turn)
+            prop_x[idx] = px
+            prop_y[idx] = py
+            idx = idx[_blocked(px, py, blocked_cells)]
+        if idx.size:
             heading[idx] += math.pi
-            prop_x[idx] = pos[idx, 0]
-            prop_y[idx] = pos[idx, 1]
-        pos[:, 0] = prop_x
-        pos[:, 1] = prop_y
+            prop_x[idx] = x[idx]
+            prop_y[idx] = y[idx]
+        x, y = prop_x, prop_y
         if trajectories is not None:
-            trajectories[:, step - 1, 0] = pos[:, 0]
-            trajectories[:, step - 1, 1] = pos[:, 1]
+            trajectories[:, step - 1, 0] = x
+            trajectories[:, step - 1, 1] = y
 
-        flat = pos[:, 1].astype(np.int64) * width + pos[:, 0].astype(np.int64)
-        coverage_flat += np.bincount(flat, minlength=n_cells)
+        flat = y.astype(np.int64) * width + x.astype(np.int64)
+        np.add.at(coverage_flat, flat, 1)
 
         # Encounter episodes: one hashed draw per newly sensed (scout, patch)
         # pair, i.e. an entry of the current cell's row missing from the
         # previous cell's row. Pairs run in (scout, patch id) order.
-        moved = np.nonzero((flat != prev_flat) & (row_len[flat] > 0))[0]
+        moved = np.flatnonzero((flat != prev_flat) & (row_len[flat] > 0))
         if moved.size:
             scout, pid = _row_pairs(row_start, row_len, indices, flat[moved], moved)
-            was_scout, was_pid = _row_pairs(
-                row_start, row_len, indices, prev_flat[moved], moved
-            )
-            # Both key lists are sorted; the end sentinel exceeds every key.
-            key = scout * n_ids + pid
-            was_key = np.append(was_scout * n_ids + was_pid, n * n_ids)
-            fresh = was_key[np.searchsorted(was_key, key)] != key
+            # A pair is fresh unless its id is in the scout's previous row.
+            was_start = row_start[prev_flat[scout]]
+            was_len = row_len[prev_flat[scout]]
+            fresh = np.ones(scout.size, dtype=bool)
+            for j in range(max_row):
+                # Clipping only reads past a row the mask already excludes.
+                seen = indices.take(was_start + j, mode="clip")
+                fresh &= (seen != pid) | (was_len <= j)
             scout, pid = scout[fresh], pid[fresh]
             z = mix64_array(scout_hash[scout] ^ patch_hash[pid])
             z = mix64_array(z ^ np.uint64(mix64(step)))
@@ -303,9 +318,10 @@ def simulate_at_checkpoints(
             dwell[scout[lock]] = params.dwell_steps
         prev_flat = flat
 
-        active = target >= 0
-        dwell[active] -= 1
-        target[active & (dwell <= 0)] = -1
+        # Only attracted scouts count down. Idle ones hold dwell 0 and target
+        # -1, so the release leaves them as they are.
+        dwell -= target >= 0
+        np.putmask(target, dwell <= 0, -1)
 
         if step in wanted:
             traj = trajectories[:, :step] if trajectories is not None else None

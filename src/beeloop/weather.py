@@ -56,6 +56,8 @@ class WeatherSeries:
         self.days = list(days)
 
     def day(self, day: int) -> DayWeather:
+        if not 1 <= day <= DAYS_PER_YEAR:
+            raise OutOfRangeValueError(f"day {day} outside 1..{DAYS_PER_YEAR}")
         return self.days[day - 1]
 
     def __len__(self) -> int:

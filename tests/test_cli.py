@@ -403,3 +403,49 @@ def test_train_monitor_bad_season_export(tmp_path, capsys, header, row):
                  "--season", str(season)])
     assert code != 0
     assert_one_error(capsys, "MissingArtifacts", out)
+
+
+def test_baseline_season_before_day_one_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10, season_start=0, season_end=20)
+    out = tmp_path / "x"
+    assert main(["baseline", "--config", str(config), "--out", str(out)]) != 0
+    assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+def test_fi_season_past_year_end_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10, season_start=350, season_end=400)
+    out = tmp_path / "x"
+    assert main(["fi", "--config", str(config), "--out", str(out)]) != 0
+    assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+def test_train_monitor_day_outside_year_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10)
+    season = tmp_path / "season.csv"
+    rows = [f"{d},9.0,10,1.0,{10 + d},3,0.5" for d in range(0, 12)]
+    season.write_text("\n".join([SEASON_HEADER, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "x"
+    code = main(["train-monitor", "--config", str(config), "--out", str(out),
+                 "--season", str(season)])
+    assert code != 0
+    assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+@pytest.mark.parametrize("day", ["x", "4.5", ""])
+def test_report_non_integer_day_rejected(tmp_path, capsys, day):
+    write_season(tmp_path / "season_baseline.csv", SEASON_HEADER, "130,9.0,10,1.0,10,3,0.5")
+    write_season(tmp_path / "season_fi.csv", SEASON_HEADER, f"{day},9.0,10,1.0,10,3,0.5")
+    assert main(["report", str(tmp_path)]) != 0
+    assert_one_error(capsys, "MissingArtifacts", tmp_path / "report.csv")
+
+
+@pytest.mark.parametrize("day", ["x", "4.5", ""])
+def test_train_monitor_non_integer_day_rejected(tmp_path, capsys, day):
+    config = write_config(tmp_path, n_scouts=10)
+    season = tmp_path / "season.csv"
+    write_season(season, SEASON_HEADER, f"{day},9.0,10,1.0,10,3,0.5")
+    out = tmp_path / "x"
+    code = main(["train-monitor", "--config", str(config), "--out", str(out),
+                 "--season", str(season)])
+    assert code != 0
+    assert_one_error(capsys, "MissingArtifacts", out)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from beeloop.rng import mix64, mix64_array
+from beeloop.rng import generator, mix64, mix64_array
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -41,3 +44,36 @@ def test_u64_to_float_rounds_like_python_on_edges():
 def test_u64_to_float_rounds_like_python(values):
     cast = np.array(values, dtype=np.uint64).astype(np.float64)
     assert cast.tolist() == [float(v) for v in values]
+
+
+# The scouting walk draws each step's turn noise with ``standard_normal(out=)``
+# and its retry block as raw Philox words, converting only the words it uses
+# as ``uniform(0, 2*pi)`` does. These pins fail loudly if a numpy release
+# changes either draw, instead of silently moving walk bytes.
+def philox_state(gen):
+    state = gen.bit_generator.state
+    inner = state["state"]
+    return (
+        inner["counter"].tolist(),
+        inner["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("seed,n", [(1, 1), (7, 150), (42, 10_000)])
+def test_walk_draws_match_normal_and_uniform(seed, n):
+    ref = generator(seed, "move")
+    new = generator(seed, "move")
+    buf = np.empty(n)
+    for _ in range(5):
+        noise = ref.normal(0.0, 1.0, n)
+        dirs = ref.uniform(0.0, 2.0 * math.pi, (n, 4))
+        new.standard_normal(out=buf)
+        words = new.bit_generator.random_raw((n, 4))
+        turned = (words >> np.uint64(11)) * 2.0**-53 * (2.0 * math.pi)
+        assert buf.tobytes() == noise.tobytes()
+        assert turned.tobytes() == dirs.tobytes()
+        assert philox_state(new) == philox_state(ref)

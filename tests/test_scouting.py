@@ -254,6 +254,33 @@ def test_walk_bytes_pinned(pin_worlds, world, seed):
     assert walk_digest(grid, patches, params, seed) == PINNED_WALKS[world, seed]
 
 
+# Paths the worlds above barely reach, pinned on the desk map. "leash": a
+# 500 m leash (4 cells) turns scouts home thousands of times. "long_steps":
+# 1.7-cell steps under a 300 m leash cross cells every step and, at seed 1,
+# use every retry direction and the reflection. "wide_rows": at radius 6 the
+# sensing rows hold up to 9 ids, and scouts exhaust their retries often.
+PATH_WORLDS = {
+    "leash": ScoutParams(max_range=500.0),
+    "long_steps": ScoutParams(n_scouts=2000, max_range=300.0, step_length=1.7),
+    "wide_rows": ScoutParams(n_scouts=500, detection_radius=6.0, dwell_steps=4),
+}
+PINNED_PATHS = {
+    ("leash", 1): "e252a8a51733f15be189a7e639c32f16b4838e93bd3219310854f96303474aeb",
+    ("leash", 42): "1e9f4c78a9fcdc703322ba16550e29e15d56e84efe5becfa8e7ffdd33fce778f",
+    ("long_steps", 1): "ee8a36720b5c1faea73d9c39da1d951bbb9ad35e858569ef95a344bb29dc7352",
+    ("long_steps", 42): "ad8012cb109d3d2412e3ff73a031a68e75c0e08d4f5bc760b374ae3016c666b4",
+    ("wide_rows", 1): "b88a0f47f3f982e6a0873301a2a15618e2cfe7050df05e0d22fa6c822af71fbe",
+    ("wide_rows", 42): "342337d1d2e7bf8d691b485d78538f03a10ecd16acf2d073a26e37bdd17feb69",
+}
+
+
+@pytest.mark.parametrize("world,seed", sorted(PINNED_PATHS))
+def test_walk_paths_pinned(desk_grid, desk_patches, world, seed):
+    params = PATH_WORLDS[world]
+    digest = walk_digest(desk_grid, desk_patches, params, seed, [0, 50, 216])
+    assert digest == PINNED_PATHS[world, seed]
+
+
 def test_checkpoint_zero_only_is_empty(desk_grid, desk_patches):
     (rep,) = simulate_at_checkpoints(
         desk_grid, desk_patches, FAST, [0], seed=3, collect_trajectories=True

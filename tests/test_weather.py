@@ -29,6 +29,14 @@ def test_load_full_year():
     assert series.day(100).max_temp == 18.0
 
 
+@pytest.mark.parametrize("day", [0, -1, 366])
+def test_day_outside_year_rejected(day):
+    series = synth_weather(1)
+    assert series.day(1).day == 1 and series.day(365).day == 365
+    with pytest.raises(OutOfRangeValueError):
+        series.day(day)
+
+
 def test_load_missing_day():
     rows = [r for r in full_year() if r[0] != 100]
     with pytest.raises(MissingDayError) as err:
