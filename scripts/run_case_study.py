@@ -23,9 +23,14 @@ def main() -> None:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("runs/case_study")
     seed = sys.argv[2] if len(sys.argv) > 2 else "42"
     t0 = time.monotonic()
-    assert cli_main(["baseline", "--seed", seed, "--out", str(out / "baseline")]) == 0
-    assert cli_main(["fi", "--seed", seed, "--out", str(out / "fi")]) == 0
-    assert cli_main(["report", str(out / "fi")]) == 0
+    for argv in (
+        ["baseline", "--seed", seed, "--out", str(out / "baseline")],
+        ["fi", "--seed", seed, "--out", str(out / "fi")],
+        ["report", str(out / "fi")],
+    ):
+        code = cli_main(argv)
+        if code != 0:
+            sys.exit(code)
     print(f"artifacts under {out} ({time.monotonic() - t0:.1f}s)")
     print("\ncomparison.csv:")
     print((out / "fi" / "comparison.csv").read_text(), end="")

@@ -50,12 +50,6 @@ class OutOfRangeValueError(SimError):
     code = "OutOfRangeValue"
 
 
-# -- scouting ---------------------------------------------------------------
-
-class DimensionMismatchError(SimError):
-    code = "DimensionMismatch"
-
-
 # -- monitor ----------------------------------------------------------------
 
 class InsufficientSamplesError(SimError):

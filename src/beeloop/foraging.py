@@ -16,19 +16,13 @@ walk rather than re-rolling it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .landscape import CellGrid, Patch
 from .rng import derive_seed, generator
-from .scouting import (
-    ScoutParams,
-    ScoutReport,
-    empty_report,
-    merge_reports,
-    simulate_at_checkpoints,
-)
+from .scouting import ScoutParams, ScoutReport, simulate_at_checkpoints
 from .weather import DayWeather, EnvControl, WeatherSeries, foraging_hours
 
 TRIPS_PER_SUN_HOUR_EPS = 1e-6
@@ -83,7 +77,9 @@ class SeasonTotals:
 class SeasonRecord:
     days: list[DayRecord]
     totals: SeasonTotals
-    scout_report: ScoutReport  # merged over the season's refreshes
+    # Coverage summed over the season's refreshes; detections and fractions
+    # of the longest refresh walk.
+    scout_report: ScoutReport
     coverage_by_day: dict[int, tuple[int, float]]  # day -> (found patches, covered fraction)
     # (n_scouts, steps, 2) walk of the first refresh with foraging hours, or
     # zero steps if there is none; only set when trajectories are collected.
@@ -171,10 +167,11 @@ def run_season(
 
     Scouting refreshes on the first day and every cadence days after. All
     refreshes share one walk seed, so a refresh with h hours yields the
-    h-hour prefix of the season's walk; the merged report over refreshes is
-    therefore exactly the sum of those prefixes. With
-    ``collect_trajectories`` the record also carries the paths of the first
-    refresh whose day has foraging hours.
+    h-hour prefix of the season's walk. The season's coverage sums the
+    refreshes' visit counts, and on each day the colony knows what the
+    longest prefix walked so far detected, which is every detection so far.
+    With ``collect_trajectories`` the record also carries the paths of the
+    first refresh whose day has foraging hours.
     """
     if scout_cadence_days < 1:
         raise ValueError("scout_cadence_days must be >= 1")
@@ -187,37 +184,29 @@ def run_season(
     steps_by_day = {
         d: int(round(h * scout_params.steps_per_hour)) for d, h in hours_by_day.items()
     }
-    checkpoints = sorted(set(steps_by_day.values()))
-    if checkpoints:
-        reports = simulate_at_checkpoints(
-            grid, patches, scout_params, checkpoints, scout_seed, collect_trajectories
-        )
-        report_at = dict(zip(checkpoints, reports))
-    else:
-        report_at = {}
+    checkpoints = sorted({0, *steps_by_day.values()})
+    reports = simulate_at_checkpoints(
+        grid, patches, scout_params, checkpoints, scout_seed, collect_trajectories
+    )
+    report_at = dict(zip(checkpoints, reports))
     first_refresh_paths = None
     if collect_trajectories:
         first = next((d for d in refresh_days if hours_by_day[d] > 0), None)
-        first_refresh_paths = (
-            np.zeros((scout_params.n_scouts, 0, 2))
-            if first is None
-            else report_at[steps_by_day[first]].trajectories
-        )
+        first_refresh_paths = report_at[steps_by_day.get(first, 0)].trajectories
 
-    merged = empty_report(grid, len(patches))
+    coverage = np.zeros((grid.height, grid.width), dtype=np.int64)
+    walked = 0
     by_id = {p.id: p for p in patches}
-    known_ids: set[int] = set()
     days: list[DayRecord] = []
     coverage_by_day: dict[int, tuple[int, float]] = {}
     natural = {p.id for p in patches if not p.artificial}
 
     for day in season_days:
         if day in steps_by_day:
-            # Merge of prefix runs: counts add, coverage equals the longest.
-            rep = report_at[steps_by_day[day]]
-            merged = merge_reports(merged, rep)
-            known_ids |= rep.detected_patch_ids
-        known = [by_id[i] for i in sorted(known_ids)]
+            coverage += report_at[steps_by_day[day]].coverage
+            walked = max(walked, steps_by_day[day])
+        longest = report_at[walked]
+        known = [by_id[i] for i in sorted(longest.detected_patch_ids)]
         rec = simulate_day(
             known,
             weather.day(day),
@@ -229,14 +218,15 @@ def run_season(
         )
         days.append(rec)
         coverage_by_day[day] = (
-            len(known_ids & natural),
-            merged.covered_area_fraction,
+            len(longest.detected_patch_ids & natural),
+            longest.covered_area_fraction,
         )
 
+    scout_report = replace(report_at[walked], coverage=coverage, trajectories=None)
     return SeasonRecord(
         days=days,
-        totals=aggregate_totals(days, merged, patches),
-        scout_report=merged,
+        totals=aggregate_totals(days, scout_report, patches),
+        scout_report=scout_report,
         coverage_by_day=coverage_by_day,
         first_refresh_paths=first_refresh_paths,
     )

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .landscape import CellGrid, Patch
 from .rng import derive_seed, generator, mix64, mix64_array
 
@@ -66,13 +65,15 @@ class ScoutParams:
             raise ValueError("scout counts and step rates must be positive")
         if min(self.step_length, self.max_range, self.detection_radius, self.bias_sigma) <= 0:
             raise ValueError("scout distances and spreads must be positive")
+        if not (math.isfinite(self.step_length) and math.isfinite(self.detection_radius)):
+            raise ValueError("step_length and detection_radius must be finite")
         if not (0.0 < self.turn_sigma <= math.pi):
             raise ValueError("turn_sigma must be in (0, pi]")
 
 
 @dataclass(frozen=True)
 class ScoutReport:
-    """Aggregate of one scouting run (or a merge of several)."""
+    """Aggregate of one scouting run; a season's report sums its refreshes' coverage."""
 
     coverage: np.ndarray  # (height, width) int64 visit counts
     detected_patch_ids: frozenset[int]
@@ -163,11 +164,6 @@ def _make_report(coverage, detected, n_patches, traversable, trajectories=None) 
         traversable_cells=traversable,
         trajectories=trajectories,
     )
-
-
-def empty_report(grid: CellGrid, n_patches: int) -> ScoutReport:
-    cov = np.zeros((grid.height, grid.width), dtype=np.int64)
-    return _make_report(cov, frozenset(), n_patches, grid.traversable_count())
 
 
 def simulate_at_checkpoints(
@@ -347,22 +343,6 @@ def run_scouting(
     return simulate_at_checkpoints(
         grid, patches, params, [steps], seed, collect_trajectories
     )[0]
-
-
-def merge_reports(a: ScoutReport, b: ScoutReport) -> ScoutReport:
-    """Cellwise visit-count sum and detection union over the same grid."""
-    if a.coverage.shape != b.coverage.shape:
-        raise DimensionMismatchError(
-            f"coverage shapes differ: {a.coverage.shape} vs {b.coverage.shape}"
-        )
-    if a.n_patches != b.n_patches or a.traversable_cells != b.traversable_cells:
-        raise DimensionMismatchError("reports describe different landscapes")
-    return _make_report(
-        a.coverage + b.coverage,
-        a.detected_patch_ids | b.detected_patch_ids,
-        a.n_patches,
-        a.traversable_cells,
-    )
 
 
 def write_coverage_csv(path, report: ScoutReport) -> None:

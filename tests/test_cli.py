@@ -323,8 +323,11 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
         "[supervisor]\ncontrol_grid_steps = 0",
         "[scouting]\nstep_length = nan",
         "[supervisor]\nw1 = nan\nw2 = nan",
+        "[scouting]\nstep_length = inf",
+        "[scouting]\ndetection_radius = inf",
     ],
-    ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights"],
+    ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights",
+         "inf_step", "inf_radius"],
 )
 def test_bad_scenario_value_fails_at_load(tmp_path, capsys, extra):
     config = write_config(tmp_path, n_scouts=10)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from beeloop.foraging import ColonyParams, run_season, simulate_day, write_season_csv
 from beeloop.landscape import Patch, derive_patches, parse_map
-from beeloop.scouting import ScoutParams
-from beeloop.weather import ClimateProfile, DayWeather, synth_weather
+from beeloop.rng import derive_seed
+from beeloop.scouting import ScoutParams, run_scouting
+from beeloop.weather import ClimateProfile, DayWeather, foraging_hours, synth_weather
 
 from conftest import make_map
 
@@ -167,6 +168,37 @@ def test_totals_match_independent_fold():
     )
     assert got.detected_patch_count == expect["detected_patch_count"]
     assert got.detected_fraction == expect["detected_fraction"]
+
+
+@pytest.mark.parametrize(
+    "season,cadence",
+    [
+        ((130, 140), 1),  # one refresh a day: step counts repeat
+        ((110, 130), 3),  # opens on cold days: refreshes with zero hours
+        ((119, 125), 4),  # the second refresh walks fewer steps than the first
+        ((100, 99), 7),  # empty season
+    ],
+)
+def test_season_scouting_matches_independent_fold(season, cadence):
+    """Coverage sums every refresh's walk; the colony knows every detection so far."""
+    grid, patches = small_world()
+    weather = synth_weather(1)
+    scouts = ScoutParams(n_scouts=3, steps_per_hour=2)  # too few to see the whole map
+    record = run_season(grid, patches, weather, None, ColonyParams(season=season),
+                        cadence, scouts, seed=6)
+    natural = {p.id for p in patches if not p.artificial}
+    coverage = np.zeros((grid.height, grid.width), dtype=np.int64)
+    known = set()
+    for day in range(season[0], season[1] + 1):
+        if (day - season[0]) % cadence == 0:
+            hours = foraging_hours(weather.day(day), None, 9.0)
+            rep = run_scouting(grid, patches, scouts, hours, derive_seed(6, "scout"))
+            coverage = coverage + rep.coverage
+            known = known | rep.detected_patch_ids
+        frac = np.count_nonzero(coverage) / grid.traversable_count()
+        assert record.coverage_by_day[day] == (len(known & natural), frac)
+    assert np.array_equal(record.scout_report.coverage, coverage)
+    assert record.totals.detected_patch_ids == tuple(sorted(known))
 
 
 def test_warmer_sunnier_year_never_loses_trips():

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from beeloop.errors import DimensionMismatchError
 from beeloop.landscape import (
     PatchParams,
     derive_patches,
@@ -14,8 +13,6 @@ from beeloop.landscape import (
 from beeloop.scouting import (
     ScoutParams,
     build_sensing_map,
-    empty_report,
-    merge_reports,
     run_scouting,
     simulate_at_checkpoints,
 )
@@ -23,13 +20,6 @@ from beeloop.scouting import (
 from conftest import make_map, tiled_grid
 
 FAST = ScoutParams(n_scouts=20, steps_per_hour=20)
-
-
-def open_grid(size=9):
-    rows = ["." * size for _ in range(size)]
-    mid = size // 2
-    rows[mid] = rows[mid][:mid] + "H" + rows[mid][mid + 1 :]
-    return parse_map(make_map(rows, cell_size=100.0))
 
 
 def test_zero_hours_yields_empty_report(desk_grid, desk_patches):
@@ -114,32 +104,6 @@ def test_detection_soundness_against_trajectories(desk_grid, desk_patches):
                 if 0 <= rr < desk_grid.height and 0 <= cc < width:
                     sensed.add(rr * width + cc)
         assert visited_cells & sensed, f"patch {pid} detected without a nearby visit"
-
-
-def test_merge_identity_union_and_fraction(desk_grid, desk_patches):
-    a = run_scouting(desk_grid, desk_patches, FAST, 2.0, seed=31)
-    b = run_scouting(desk_grid, desk_patches, FAST, 2.0, seed=32)
-    empty = empty_report(desk_grid, len(desk_patches))
-    assert merge_reports(a, empty) == a
-    merged = merge_reports(a, b)
-    assert merged.detected_patch_ids == a.detected_patch_ids | b.detected_patch_ids
-    assert merged.covered_area_fraction >= max(
-        a.covered_area_fraction, b.covered_area_fraction
-    )
-    assert np.all(merged.coverage == a.coverage + b.coverage)
-
-
-def test_merge_commutes(desk_grid, desk_patches):
-    a = run_scouting(desk_grid, desk_patches, FAST, 2.0, seed=41)
-    b = run_scouting(desk_grid, desk_patches, FAST, 3.0, seed=42)
-    assert merge_reports(a, b) == merge_reports(b, a)
-
-
-def test_merge_rejects_dimension_mismatch(desk_grid, desk_patches):
-    a = run_scouting(desk_grid, desk_patches, FAST, 1.0, seed=1)
-    other = empty_report(open_grid(), 0)
-    with pytest.raises(DimensionMismatchError):
-        merge_reports(a, other)
 
 
 def test_artificial_corridor_patch_raises_far_coverage():
@@ -285,7 +249,10 @@ def test_checkpoint_zero_only_is_empty(desk_grid, desk_patches):
     (rep,) = simulate_at_checkpoints(
         desk_grid, desk_patches, FAST, [0], seed=3, collect_trajectories=True
     )
-    assert rep == empty_report(desk_grid, len(desk_patches))
+    assert rep.coverage.shape == (desk_grid.height, desk_grid.width)
+    assert not rep.coverage.any()
+    assert rep.detected_patch_ids == frozenset()
+    assert rep.covered_area_fraction == 0.0
     assert rep.trajectories.shape == (FAST.n_scouts, 0, 2)
 
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import beeloop
 from beeloop.cli import default_config_path
 from beeloop.landscape import serialize_map
@@ -13,12 +15,13 @@ from conftest import tiled_grid
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run ``scripts/<name>``; ``flags`` go to the interpreter, before the script."""
     package_root = str(Path(beeloop.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+        [sys.executable, *flags, str(SCRIPTS / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -68,3 +71,30 @@ def test_artifact_digests_repeat():
     }
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
     assert second.stdout == first.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_run_case_study_writes_comparison(tmp_path, flags):
+    out = tmp_path / "case"
+    result = run_script("run_case_study.py", str(out), "42", flags=flags)
+    assert result.returncode == 0, result.stderr
+    comparison = (out / "fi" / "comparison.csv").read_text(encoding="utf-8")
+    assert result.stdout.endswith("\ncomparison.csv:\n" + comparison)
+    assert (out / "fi" / "report.csv").is_file()
+    assert (out / "baseline" / "season.csv").is_file()
+
+
+def test_run_case_study_stops_at_failing_command(tmp_path):
+    """Under -O too, the first failing command's exit code ends the script."""
+    out = tmp_path / "case"
+    result = run_script("run_case_study.py", str(out), "-1", flags=("-O",))
+    assert result.returncode == 1
+    assert result.stderr == "error: OutOfRangeValue\n"
+    assert not out.exists()
+
+
+def test_calibrate_baseline_one_seed():
+    result = run_script("calibrate_baseline.py", "1")
+    assert result.returncode == 0, result.stderr
+    assert "seed   1: 9h cov " in result.stdout
+    assert "mean 16h coverage " in result.stdout
