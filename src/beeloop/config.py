@@ -1,8 +1,9 @@
 """Scenario files: line-oriented ``key = value`` under ``[section]`` headers.
 
 The format is deliberately tiny so scenario diffs stay readable. Unknown
-sections or keys are errors; relative paths resolve against the config
-file's directory. See data/desk.conf for a complete example.
+sections or keys are errors, and so is a key set twice in one section, even
+under two headers; relative paths resolve against the config file's
+directory. See data/desk.conf for a complete example.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
         key = key.strip()
         if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}] at line {lineno}")
+        if key in values[section]:
+            raise ConfigError(f"{section}.{key} set again at line {lineno}")
         values[section][key] = value.strip()
     return values
 

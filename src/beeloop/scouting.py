@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRangeValueError
 from .landscape import CellGrid, Patch
 from .rng import derive_seed, generator, mix64, mix64_array
 
@@ -147,10 +148,10 @@ def _blocked(px, py, obstacle):
     """Indices of the points ``(px, py)`` off the grid or in an obstacle cell."""
     height, width = obstacle.shape
     inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-    ii = np.flatnonzero(inside)
+    ii = inside.nonzero()[0]
     cell = py[ii].astype(np.int64) * width + px[ii].astype(np.int64)
     inside[ii[obstacle.ravel()[cell]]] = False
-    return np.flatnonzero(~inside)
+    return (~inside).nonzero()[0]
 
 
 def _make_report(coverage, detected, n_patches, traversable, trajectories=None) -> ScoutReport:
@@ -194,6 +195,14 @@ def simulate_at_checkpoints(
     n = params.n_scouts
     hx, hy = grid.hive_cell
     x0, y0 = hx + 0.5, hy + 0.5
+    # A longer step leaves the grid from the hive in every direction, so no
+    # proposal or retry could ever land and every scout would stay home.
+    reach = math.hypot(max(x0, width - x0), max(y0, height - y0))
+    if params.step_length > reach:
+        raise OutOfRangeValueError(
+            f"step_length {params.step_length} exceeds the {reach:.2f} cells "
+            "from the hive to the farthest map corner"
+        )
     x = np.full(n, x0)
     y = np.full(n, y0)
     heading = move_rng.uniform(0.0, 2.0 * math.pi, n)
@@ -250,10 +259,10 @@ def simulate_at_checkpoints(
         attracted = (target >= 0) & ~leashed
         sigma = np.where(attracted, params.bias_sigma, params.turn_sigma)
         if leashed.any():
-            idx = np.flatnonzero(leashed)
+            idx = leashed.nonzero()[0]
             heading[idx] = np.arctan2(y0 - y[idx], x0 - x[idx])
         if attracted.any():
-            idx = np.flatnonzero(attracted)
+            idx = attracted.nonzero()[0]
             t = target[idx]
             heading[idx] = np.arctan2(centroid_y[t] - y[idx], centroid_x[t] - x[idx])
         sigma *= turn_noise
@@ -290,7 +299,7 @@ def simulate_at_checkpoints(
         # Encounter episodes: one hashed draw per newly sensed (scout, patch)
         # pair, i.e. an entry of the current cell's row missing from the
         # previous cell's row. Pairs run in (scout, patch id) order.
-        moved = np.flatnonzero((flat != prev_flat) & (row_len[flat] > 0))
+        moved = ((flat != prev_flat) & (row_len[flat] > 0)).nonzero()[0]
         if moved.size:
             scout, pid = _row_pairs(row_start, row_len, indices, flat[moved], moved)
             # A pair is fresh unless its id is in the scout's previous row.
@@ -308,7 +317,10 @@ def simulate_at_checkpoints(
             scout, pid = scout[hit], pid[hit]
             found[pid] = True
             # An idle scout locks onto its first hit, the lowest new patch id.
-            first = np.flatnonzero(np.diff(scout, prepend=-1))
+            starts = np.empty(scout.size, dtype=bool)
+            starts[:1] = True
+            np.not_equal(scout[1:], scout[:-1], out=starts[1:])
+            first = starts.nonzero()[0]
             lock = first[target[scout[first]] < 0]
             target[scout[lock]] = pid[lock]
             dwell[scout[lock]] = params.dwell_steps
@@ -322,7 +334,7 @@ def simulate_at_checkpoints(
         if step in wanted:
             traj = trajectories[:, :step] if trajectories is not None else None
             snapshots[step] = _make_report(
-                coverage.copy(), np.flatnonzero(found).tolist(), n_patches, traversable, traj
+                coverage.copy(), found.nonzero()[0].tolist(), n_patches, traversable, traj
             )
 
     return [snapshots[s] for s in order]
@@ -352,11 +364,14 @@ def write_coverage_csv(path, report: ScoutReport) -> None:
 
 
 def write_trajectories_csv(path, trajectories: np.ndarray) -> None:
-    """Write (n_scouts, steps, 2) cell coordinates, one row per scout step."""
+    """Write (n_scouts, steps, 2) cell coordinates, one row per scout step.
+
+    Each cell reads ``np.float64(<shortest repr>)``, the numpy scalar repr
+    the format was first written with. Rows are formatted and written one
+    scout at a time, so memory stays flat in the number of scouts.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("scout_id,step,x,y\n")
-        n, steps, _ = trajectories.shape
-        for i in range(n):
-            for t in range(steps):
-                x, y = trajectories[i, t]
-                fh.write(f"{i},{t + 1},{x!r},{y!r}\n")
+        for i, walk in enumerate(trajectories):
+            row = f"{i},%d,np.float64(%r),np.float64(%r)\n"
+            fh.write("".join([row % (t, x, y) for t, (x, y) in enumerate(walk.tolist(), 1)]))

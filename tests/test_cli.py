@@ -452,3 +452,36 @@ def test_train_monitor_non_integer_day_rejected(tmp_path, capsys, day):
                  "--season", str(season)])
     assert code != 0
     assert_one_error(capsys, "MissingArtifacts", out)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["[scouting]\nstep_length = 1000\nstep_length = 0.8", "[scouting]\nn_scouts = 20"],
+    ids=["same_header", "second_header"],
+)
+def test_repeated_config_key_rejected(tmp_path, capsys, extra):
+    config = write_config(tmp_path, n_scouts=10)
+    config.write_text(config.read_text() + "\n" + extra + "\n")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "ConfigError", out)
+
+
+def test_zero_cadence_fails_at_load(tmp_path, capsys):
+    # Set once: test_bad_scenario_value_fails_at_load[cadence_0] appends a
+    # second scout_cadence_days line, which now fails as a repeated key first.
+    config = write_config(tmp_path, n_scouts=10, scout_cadence_days=0)
+    out = tmp_path / "x"
+    for command in ("baseline", "fi", "train-monitor"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "ConfigError", out)
+
+
+def test_step_no_scout_can_take_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=20)
+    config.write_text(config.read_text() + "\n[scouting]\nstep_length = 1000\n")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "OutOfRangeValue", out)

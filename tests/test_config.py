@@ -5,6 +5,7 @@ import pytest
 
 from beeloop.config import _SECTIONS, load_scenario
 from beeloop.control import CoverageLabel
+from beeloop.errors import ConfigError
 
 # (section, key) -> (value, ...) or a group of keys that only validate together,
 # and the Scenario leaves the setting must change, with their new values.
@@ -129,3 +130,30 @@ def test_each_key_changes_only_its_own_field(tmp_path, keys):
         for path, value in expected.items()
     }
     assert diff == want
+
+
+def test_two_headers_of_one_section_merge(tmp_path):
+    (tmp_path / "field.map").write_text("H\n", encoding="utf-8")
+    path = tmp_path / "scenario.conf"
+    path.write_text(
+        "[scenario]\nmap = field.map\n[scouting]\nn_scouts = 20\n"
+        "[foraging]\nbase_cap_h = 8\n[scouting]\nstep_length = 0.5\n",
+        encoding="utf-8",
+    )
+    scenario = load_scenario(path)
+    assert (scenario.scout.n_scouts, scenario.scout.step_length) == (20, 0.5)
+    assert scenario.settings.base_cap_h == 8.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[scouting]\nn_scouts = 20\nn_scouts = 20\n",
+     "[scouting]\nn_scouts = 20\n[foraging]\nbase_cap_h = 8\n[scouting]\nn_scouts = 30\n"],
+    ids=["same_header", "second_header"],
+)
+def test_repeated_key_rejected(tmp_path, text):
+    (tmp_path / "field.map").write_text("H\n", encoding="utf-8")
+    path = tmp_path / "scenario.conf"
+    path.write_text("[scenario]\nmap = field.map\n" + text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"scouting\.n_scouts set again at line \d+"):
+        load_scenario(path)

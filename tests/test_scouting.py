@@ -1,9 +1,11 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from beeloop.errors import OutOfRangeValueError
 from beeloop.landscape import (
     PatchParams,
     derive_patches,
@@ -15,6 +17,7 @@ from beeloop.scouting import (
     build_sensing_map,
     run_scouting,
     simulate_at_checkpoints,
+    write_trajectories_csv,
 )
 
 from conftest import make_map, tiled_grid
@@ -256,6 +259,21 @@ def test_checkpoint_zero_only_is_empty(desk_grid, desk_patches):
     assert rep.trajectories.shape == (FAST.n_scouts, 0, 2)
 
 
+def test_step_longer_than_the_way_to_the_farthest_corner_rejected(desk_grid, desk_patches):
+    # From the hive cell's centre (36.5, 32.5) the farthest desk corner is (0, 0).
+    reach = math.hypot(36.5, 32.5)
+    params = ScoutParams(n_scouts=5, step_length=reach)
+    simulate_at_checkpoints(desk_grid, desk_patches, params, [0, 20], seed=1)
+    longer = ScoutParams(n_scouts=5, step_length=math.nextafter(reach, math.inf))
+    with pytest.raises(OutOfRangeValueError):
+        simulate_at_checkpoints(desk_grid, desk_patches, longer, [0], seed=1)
+    # A lone hive cell's corners are 0.71 cells away: the default step is too long.
+    lone = parse_map(make_map(["H"]))
+    with pytest.raises(OutOfRangeValueError):
+        simulate_at_checkpoints(lone, [], ScoutParams(), [0], seed=1)
+    simulate_at_checkpoints(lone, [], ScoutParams(step_length=0.7), [0, 5], seed=1)
+
+
 def test_scout_reflected_in_place_opens_no_new_episode():
     """A walled-in scout stays in its cell: one draw per patch, at step 1."""
     grid = parse_map(make_map([".....", ".###.", ".#H#.", ".###.", "..A.."]))
@@ -307,3 +325,70 @@ def test_no_patches_gives_empty_sensing_map_and_no_detections():
     for rep in simulate_at_checkpoints(grid, [], FAST, [0, 5, 40], seed=9):
         assert rep.detected_patch_ids == frozenset()
         assert rep.detected_patch_fraction == 0.0
+
+
+def ref_write_trajectories_csv(path, trajectories):
+    """The per-row writer that first defined the ``paths.csv`` bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("scout_id,step,x,y\n")
+        n, steps, _ = trajectories.shape
+        for i in range(n):
+            for t in range(steps):
+                x, y = trajectories[i, t]
+                fh.write(f"{i},{t + 1},{x!r},{y!r}\n")
+
+
+def walk_paths(grid, patches, params, seed, checkpoints):
+    return [
+        rep.trajectories
+        for rep in simulate_at_checkpoints(
+            grid, patches, params, checkpoints, seed, collect_trajectories=True
+        )
+    ]
+
+
+@pytest.fixture(scope="module")
+def path_cases(desk_grid, desk_patches):
+    """Walks as ``paths.csv`` gets them. A prefix snapshot is a view of the
+    whole walk, so it is not contiguous; the reflection walk's scouts exhaust
+    their retries and stay in place."""
+    prefix, desk = walk_paths(desk_grid, desk_patches, ScoutParams(), 42, [50, 216])
+    (one,) = walk_paths(desk_grid, desk_patches, ScoutParams(n_scouts=1), 7, [216])
+    (empty,) = walk_paths(desk_grid, desk_patches, ScoutParams(), 42, [0])
+    (reflect,) = walk_paths(desk_grid, desk_patches, PATH_WORLDS["long_steps"], 1, [216])
+    return {"desk150_seed42": desk, "prefix_view": prefix, "one_scout": one,
+            "zero_steps": empty, "reflections": reflect}
+
+
+@pytest.mark.parametrize(
+    "case", ["desk150_seed42", "prefix_view", "one_scout", "zero_steps", "reflections"]
+)
+def test_paths_csv_bytes_match_reference(tmp_path, path_cases, case):
+    paths = path_cases[case]
+    if case == "prefix_view":
+        assert not paths.flags.c_contiguous
+    if case == "reflections":
+        assert (paths[:, 1:] == paths[:, :-1]).all(axis=2).any()
+    write_trajectories_csv(tmp_path / "paths.csv", paths)
+    ref_write_trajectories_csv(tmp_path / "ref.csv", paths)
+    got = (tmp_path / "paths.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    if case == "zero_steps":
+        assert got == b"scout_id,step,x,y\n"
+
+
+def test_paths_csv_cells_round_trip_exactly(tmp_path, path_cases):
+    paths = path_cases["desk150_seed42"]
+    write_trajectories_csv(tmp_path / "paths.csv", paths)
+    header, *rows = (tmp_path / "paths.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "scout_id,step,x,y"
+    n, steps, _ = paths.shape
+    assert len(rows) == n * steps
+    cell = re.compile(r"np\.float64\((.+)\)")
+    for k, row in enumerate(rows):
+        i, t, *xy = row.split(",")
+        assert (int(i), int(t) - 1) == divmod(k, steps) and len(xy) == 2
+        for text, want in zip(xy, paths[int(i), int(t) - 1].tolist()):
+            match = cell.fullmatch(text)
+            assert match, text
+            assert np.float64(float(match[1])).tobytes() == np.float64(want).tobytes()
