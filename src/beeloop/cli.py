@@ -53,7 +53,7 @@ def _build_classifier(scenario):
 
 def cmd_baseline(scenario, dump_paths: bool = False) -> int:
     grid = load_map(scenario.map_path)
-    patches = derive_patches(grid, scenario.patch_params)
+    patches = derive_patches(grid, scenario.settings.patch_params)
     weather = config_mod.weather_for(scenario)
     season = run_season(
         grid, patches, weather, None, scenario.colony,

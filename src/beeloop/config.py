@@ -23,7 +23,7 @@ from .weather import ClimateProfile, WeatherSeries, load_weather, synth_weather
 
 def _float(raw: str) -> float:
     value = float(raw)
-    if math.isnan(value):
+    if not math.isfinite(value):
         raise ValueError(raw)
     return value
 
@@ -88,7 +88,6 @@ class Scenario:
     climate: ClimateProfile
     colony: ColonyParams
     scout: ScoutParams
-    patch_params: PatchParams
     classifier_kind: str  # "threshold" or "softmax"
     thresholds: ThresholdClassifier
     user_cfg: UserConfig
@@ -186,7 +185,6 @@ def _build_scenario(values, map_path, weather_source, weather_file,
     scenario = values.get("scenario", {})
     foraging = values.get("foraging", {})
     start, end = ColonyParams.season
-    patch_params = _build(values, PatchParams, "landscape")
     climate = _build(values, ClimateProfile, "weather")
     scout = _build(values, ScoutParams, "scouting")
     colony = _build(
@@ -197,7 +195,7 @@ def _build_scenario(values, map_path, weather_source, weather_file,
     user_cfg = _build(values, UserConfig, "supervisor")
     settings = _build(
         values, LoopSettings, "foraging", "control", "supervisor",
-        patch_params=patch_params,
+        patch_params=_build(values, PatchParams, "landscape"),
         placement=_build(values, PlacementPolicy, "control"),
         bounds=_build(values, ControlBounds, "supervisor"),
     )
@@ -219,7 +217,6 @@ def _build_scenario(values, map_path, weather_source, weather_file,
         climate=climate,
         colony=colony,
         scout=scout,
-        patch_params=patch_params,
         classifier_kind=classifier_kind,
         thresholds=thresholds,
         user_cfg=user_cfg,

@@ -85,8 +85,10 @@ class PatchProposal:
 class PlacementPolicy:
     waypoint_fraction: float = 0.7  # position along hive -> region corridor
     search_radius: float = 8.0  # cells around the waypoint to find an empty cell
-    artificial_detect: float = 0.95
-    artificial_nectar_l: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.waypoint_fraction <= 1.0 and self.search_radius >= 0):
+            raise ValueError("waypoint_fraction must be in [0, 1] and search_radius >= 0")
 
 
 def extract_features(
@@ -216,10 +218,12 @@ def propose_patches(
     tiling: RegionTiling,
     grid: CellGrid,
     k: int,
+    beacon: tuple[float, float],
     policy: PlacementPolicy = PlacementPolicy(),
 ) -> list[PatchProposal]:
     """Greedy waypoint placement for Low regions, worst coverage first.
 
+    Every proposal is a ``beacon``: (detection probability, nectar liters).
     Each chosen region gets one patch at the empty cell nearest the point
     ``waypoint_fraction`` of the way from hive to region centroid. Regions
     with no empty cell within ``search_radius`` of that point are skipped,
@@ -273,8 +277,8 @@ def propose_patches(
             PatchProposal(
                 cell=cell,
                 region_id=f.region_id,
-                detection_probability=policy.artificial_detect,
-                nectar_quantity=policy.artificial_nectar_l,
+                detection_probability=beacon[0],
+                nectar_quantity=beacon[1],
             )
         )
     return proposals

@@ -45,6 +45,8 @@ class ColonyParams:
             raise ValueError("patches_per_trip must be non-negative")
         if not (0.0 <= self.forager_fraction <= 1.0):
             raise ValueError("forager_fraction must be in [0, 1]")
+        if not self.reference_distance_m > 0:
+            raise ValueError("reference_distance_m must be positive")
         if self.season[0] > self.season[1] + 1:
             raise ValueError("season start must not exceed end + 1")
 
@@ -56,7 +58,6 @@ class DayRecord:
     visits_per_patch: dict[int, int]
     completed_trips: int
     trips_per_sunshine_hour: float
-    active_foragers: int
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def simulate_day(
     period = foraging_hours(dw, ctrl, cap_hours)
     active = int(round(colony.forager_fraction * colony.initial_workers))
     if not patches or period == 0.0 or active == 0:
-        return DayRecord(day, period, {}, 0, 0.0, active)
+        return DayRecord(day, period, {}, 0, 0.0)
     trips = int(round(active * colony.trips_per_forager_hour * period))
     visits_total = trips * colony.patches_per_trip
     weights = np.array(
@@ -118,7 +119,6 @@ def simulate_day(
         visits_per_patch=visits,
         completed_trips=trips,
         trips_per_sunshine_hour=trips / max(dw.sunshine_hours, TRIPS_PER_SUN_HOUR_EPS),
-        active_foragers=active,
     )
 
 

@@ -93,10 +93,6 @@ def predict(model: LinearModel, features: tuple[float, ...]) -> float:
     )
 
 
-def predict_batch(model: LinearModel, feature_rows: list[tuple[float, ...]]) -> list[float]:
-    return [predict(model, row) for row in feature_rows]
-
-
 def r_squared(model: LinearModel, samples: list[MonitorSample]) -> float:
     """1 - SS_res / SS_tot on the given samples."""
     if len(samples) < 2:

@@ -21,9 +21,14 @@ every step, whatever the scouts do: n standard normals (turn noise), then
 n x 4 raw 64-bit words, all of them always consumed. Only a blocked scout
 converts its words into retry directions, as ``uniform(0, 2 pi)`` would:
 ``(word >> 11) * 2**-53 * 2 pi``. Episode draws are computed by hashing
-(seed, scout, patch, step), so they are order-independent. Adding a patch
-therefore leaves every scout's walk bitwise unchanged until some scout
-actually senses it.
+(seed, scout, patch id, step), so they are order-independent. Adding a patch
+that takes the last id therefore leaves every scout's walk bitwise unchanged
+until some scout actually senses it. Any other added patch does not:
+``derive_patches`` numbers patches in scan order, crop first, so the new one
+renumbers every patch after it and re-rolls their draws. The feedback loop
+meets this with beacons: on the desk map at seed 7, a beacon at (0, 0) added
+to one at (36, 34) moves the old one from id 245 to 246, and the walks
+differ from step 2.
 
 The walk is vectorized over scouts: each step is a fixed sequence of array
 operations over all of them, with no per-scout Python loop. The sensing map
@@ -80,8 +85,6 @@ class ScoutReport:
     detected_patch_ids: frozenset[int]
     covered_area_fraction: float
     detected_patch_fraction: float
-    n_patches: int
-    traversable_cells: int
     trajectories: np.ndarray | None = None  # (n_scouts, steps, 2) cell coords
 
     def __eq__(self, other) -> bool:
@@ -92,8 +95,6 @@ class ScoutReport:
             and self.detected_patch_ids == other.detected_patch_ids
             and self.covered_area_fraction == other.covered_area_fraction
             and self.detected_patch_fraction == other.detected_patch_fraction
-            and self.n_patches == other.n_patches
-            and self.traversable_cells == other.traversable_cells
         )
 
 
@@ -161,8 +162,6 @@ def _make_report(coverage, detected, n_patches, traversable, trajectories=None) 
         detected_patch_ids=frozenset(detected),
         covered_area_fraction=visited / traversable if traversable else 0.0,
         detected_patch_fraction=len(detected) / n_patches if n_patches else 0.0,
-        n_patches=n_patches,
-        traversable_cells=traversable,
         trajectories=trajectories,
     )
 

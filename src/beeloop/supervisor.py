@@ -10,12 +10,14 @@ loop stops, so accepted-loss monotonicity and final-never-worse-than-baseline
 hold exactly rather than on average.
 
 All seasons in one loop share the run seed, so a candidate differs from the
-incumbent only through the patches and controls it adds.
+incumbent only through the patches and controls it adds, with one exception:
+a new beacon renumbers the incumbent's beacons after it in scan order, which
+re-rolls their detection draws (see ``beeloop.scouting``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +76,10 @@ class UserConfig:
 class ControlBounds:
     max_temp_uplift: float = 3.0
     max_extra_light_h: float = 5.0
-    min_temp_uplift: float = 0.0
-    min_extra_light_h: float = 0.0
+
+    def __post_init__(self):
+        if min(self.max_temp_uplift, self.max_extra_light_h) < 0:
+            raise ValueError("max_temp_uplift and max_extra_light_h must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,6 @@ class LoopStep:
     covered_area_fraction: float
     detected_fraction: float
     total_visits: int
-
-
-@dataclass(frozen=True)
-class LoopTrace:
-    steps: tuple[LoopStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -181,22 +177,23 @@ def optimize_env_control(
 ) -> EnvControl:
     """Grid search maximizing predicted seasonal visits.
 
-    Ties break toward smaller controls, lexicographically on uplift then
-    extra light, so a flat objective returns (0, 0).
+    Each axis runs from 0 to its bound in ``grid_steps`` even steps. Ties
+    break toward smaller controls, lexicographically on uplift then extra
+    light, so a flat objective returns (0, 0).
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be >= 1")
 
-    def axis(lo: float, hi: float) -> list[float]:
-        if grid_steps == 1 or hi == lo:
-            return [lo]
-        return [lo + (hi - lo) * i / (grid_steps - 1) for i in range(grid_steps)]
+    def axis(hi: float) -> list[float]:
+        if grid_steps == 1 or hi == 0.0:
+            return [0.0]
+        return [hi * i / (grid_steps - 1) for i in range(grid_steps)]
 
     days = [weather.day(d) for d in range(window[0], window[1] + 1)]
     best = None
     best_score = None
-    for uplift in axis(bounds.min_temp_uplift, bounds.max_temp_uplift):
-        for extra in axis(bounds.min_extra_light_h, bounds.max_extra_light_h):
+    for uplift in axis(bounds.max_temp_uplift):
+        for extra in axis(bounds.max_extra_light_h):
             ctrl = EnvControl(uplift, extra, window)
             score = sum(predict(model, day_features(dw, ctrl, cap)) for dw in days)
             if best_score is None or score > best_score:
@@ -221,8 +218,8 @@ def run_fi_loop(
     seed: int,
     settings: LoopSettings = LoopSettings(),
     collect_trajectories: bool = False,
-) -> tuple[FiPlan, LoopTrace, SeasonRecord, SeasonRecord]:
-    """Run the full loop; returns (plan, trace, baseline season, final season).
+) -> tuple[FiPlan, tuple[LoopStep, ...], SeasonRecord, SeasonRecord]:
+    """Run the full loop; returns (plan, accepted steps, baseline season, final season).
 
     ``collect_trajectories`` is passed to the baseline season only.
     """
@@ -273,10 +270,9 @@ def run_fi_loop(
     )
     best_loss = coverage_loss(baseline.labels, required)
     ctrl_eff = choose_control(baseline)
-    policy = replace(
-        settings.placement,
-        artificial_detect=settings.patch_params.artificial_detect,
-        artificial_nectar_l=artificial_nectar(crop, settings.patch_params),
+    beacon = (
+        settings.patch_params.artificial_detect,
+        artificial_nectar(crop, settings.patch_params),
     )
     placed: list[PatchProposal] = []
     steps: list[LoopStep] = []
@@ -288,7 +284,8 @@ def run_fi_loop(
             ctrl_eff = choose_control(cur)
         remaining = cfg.max_artificial_patches - len(placed)
         proposals = propose_patches(
-            cur.labeled(), tiling, cur.grid, min(PATCHES_PER_ITERATION, remaining), policy
+            cur.labeled(), tiling, cur.grid, min(PATCHES_PER_ITERATION, remaining), beacon,
+            settings.placement,
         )
         ctrl_is_new = cur.ctrl is None and ctrl_eff is not None
         if not proposals and not ctrl_is_new:
@@ -319,7 +316,7 @@ def run_fi_loop(
         final_patches=tuple(cur.patches),
         region_labels=tuple(cur.labeled()),
     )
-    return plan, LoopTrace(tuple(steps)), baseline.season, cur.season
+    return plan, tuple(steps), baseline.season, cur.season
 
 
 def write_fi_plan_csv(path, plan: FiPlan) -> None:
@@ -342,10 +339,10 @@ def write_fi_plan_csv(path, plan: FiPlan) -> None:
         fh.write(f"summary,,,,,,,,,,{plan.iterations_used},{plan.final_loss!r}\n")
 
 
-def write_loop_trace_csv(path, trace: LoopTrace) -> None:
+def write_loop_trace_csv(path, steps: tuple[LoopStep, ...]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,loss,covered_area_frac,detected_frac,total_visits\n")
-        for s in trace.steps:
+        for s in steps:
             fh.write(
                 f"{s.iteration},{s.loss!r},{s.covered_area_fraction!r},"
                 f"{s.detected_fraction!r},{s.total_visits}\n"

@@ -224,7 +224,7 @@ def test_criterion_8_supervisor_monotonicity(fi_runs):
     with criterion(8, "supervisor monotonicity"):
         runs, _ = fi_runs
         for plan, trace, baseline, final in runs:
-            losses = [s.loss for s in trace.steps]
+            losses = [s.loss for s in trace]
             assert all(b < a for a, b in zip(losses, losses[1:]))
             assert len(plan.placed_patches) <= UserConfig().max_artificial_patches
             assert final.totals.total_visits >= baseline.totals.total_visits

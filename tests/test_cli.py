@@ -252,7 +252,7 @@ def test_bundled_config_matches_code_defaults():
     scenario = load_scenario(default_config_path())
     assert scenario.scout == ScoutParams()
     assert scenario.colony == ColonyParams()
-    assert scenario.patch_params == PatchParams()
+    assert scenario.settings.patch_params == PatchParams()
     assert scenario.user_cfg == UserConfig()
     assert scenario.settings == LoopSettings()
     assert scenario.seed == 42
@@ -325,13 +325,38 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
         "[supervisor]\nw1 = nan\nw2 = nan",
         "[scouting]\nstep_length = inf",
         "[scouting]\ndetection_radius = inf",
+        "[scouting]\nmax_range_m = inf",
+        "[landscape]\nkappa = -1",
+        "[landscape]\nnectar_per_m2 = inf",
+        "[landscape]\nnectar_per_m2 = -1",
+        "[landscape]\nartificial_nectar_fraction = -1",
+        "[landscape]\nartificial_detect = 1.5",
+        "[foraging]\nreference_distance_m = 0",
+        "[foraging]\nreference_distance_m = -1000",
+        "[foraging]\ntrips_per_forager_hour = inf",
+        "[control]\nsearch_radius = inf",
+        "[control]\nsearch_radius = -1",
+        "[control]\nwaypoint_fraction = 5",
+        "[supervisor]\nloss_tolerance = inf",
+        {"max_temp_uplift": "inf"},
+        {"max_temp_uplift": -1},
+        {"max_extra_light_h": -1},
     ],
     ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights",
-         "inf_step", "inf_radius"],
+         "inf_step", "inf_radius", "inf_range", "negative_kappa", "inf_nectar",
+         "negative_nectar", "negative_nectar_fraction", "detect_above_1", "zero_reference",
+         "negative_reference", "inf_trip_rate", "inf_search_radius", "negative_search_radius",
+         "waypoint_above_1", "inf_tolerance", "inf_uplift", "negative_uplift",
+         "negative_light"],
 )
 def test_bad_scenario_value_fails_at_load(tmp_path, capsys, extra):
-    config = write_config(tmp_path, n_scouts=10)
-    config.write_text(config.read_text() + "\n" + extra + "\n")
+    """``extra`` is a config fragment to append, or ``write_config`` overrides
+    for the keys it already writes, since appending one of those repeats it."""
+    if isinstance(extra, dict):
+        config = write_config(tmp_path, n_scouts=10, **extra)
+    else:
+        config = write_config(tmp_path, n_scouts=10)
+        config.write_text(config.read_text() + "\n" + extra + "\n")
     out = tmp_path / "x"
     for command in ("baseline", "fi", "train-monitor"):
         assert main([command, "--config", str(config), "--out", str(out)]) != 0

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,6 @@ WIRING = {
         ["true"], {"settings.refit_monitor_each_iteration": True}
     ),
 }
-# Landscape keys reach the scenario's patch parameters and the loop's copy.
 for _name, _raw, _value in [
     ("kappa", "0.07", 0.07),
     ("nectar_per_m2", "0.003", 0.003),
@@ -81,9 +81,7 @@ for _name, _raw, _value in [
     ("artificial_detect", "0.9", 0.9),
     ("artificial_nectar_fraction", "0.2", 0.2),
 ]:
-    WIRING[(("landscape", _name),)] = (
-        [_raw], {f"patch_params.{_name}": _value, f"settings.patch_params.{_name}": _value}
-    )
+    WIRING[(("landscape", _name),)] = ([_raw], {f"settings.patch_params.{_name}": _value})
 
 
 def leaves(obj, path=""):
@@ -117,6 +115,12 @@ def load(tmp_path, settings) -> dict:
 def test_wiring_table_covers_every_key():
     covered = {key for keys in WIRING for key in keys}
     assert covered == {(s, k) for s, keys in _SECTIONS.items() for k in keys}
+
+
+def test_every_scenario_leaf_is_set_by_exactly_one_key(tmp_path):
+    setters = Counter(path for _, changed in WIRING.values() for path in changed)
+    default = load(tmp_path, [])
+    assert {path: setters[path] for path in default if setters[path] != 1} == {}
 
 
 @pytest.mark.parametrize("keys", list(WIRING), ids=lambda keys: ",".join(k for _, k in keys))

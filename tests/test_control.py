@@ -20,6 +20,8 @@ from beeloop.landscape import EMPTY, parse_map, tile_regions, with_artificial
 
 from conftest import make_map
 
+BEACON = (0.95, 1.0)  # (detection probability, nectar liters) of a proposed patch
+
 
 def feat(region=0, density=0.0, coverage=0.0, dist=1000.0):
     return RegionFeatures(region, density, coverage, dist)
@@ -146,14 +148,14 @@ def test_propose_nothing_without_low_regions():
     tiling = tile_regions(grid, 1, 2)
     labeled = [(feat(0, coverage=0.5), CoverageLabel.NORMAL),
                (feat(1, coverage=0.9), CoverageLabel.HIGH)]
-    assert propose_patches(labeled, tiling, grid, 5) == []
+    assert propose_patches(labeled, tiling, grid, 5, BEACON) == []
 
 
 def test_propose_zero_budget():
     grid = corridor_world()
     tiling = tile_regions(grid, 1, 2)
     labeled = [(feat(1, coverage=0.0), CoverageLabel.LOW)]
-    assert propose_patches(labeled, tiling, grid, 0) == []
+    assert propose_patches(labeled, tiling, grid, 0, BEACON) == []
 
 
 def test_propose_places_on_corridor():
@@ -162,7 +164,7 @@ def test_propose_places_on_corridor():
     labeled = [(feat(0, coverage=0.5, dist=100.0), CoverageLabel.NORMAL),
                (feat(1, coverage=0.0, dist=700.0), CoverageLabel.LOW)]
     policy = PlacementPolicy(waypoint_fraction=0.7, search_radius=3.0)
-    (p,) = propose_patches(labeled, tiling, grid, 3, policy)
+    (p,) = propose_patches(labeled, tiling, grid, 3, BEACON, policy)
     assert p.region_id == 1
     col, row = p.cell
     assert grid.cells[row, col] == EMPTY
@@ -176,15 +178,15 @@ def test_propose_deterministic_and_legal(desk_grid):
         (feat(r, coverage=0.01 * (r % 7), dist=100.0 * r), CoverageLabel.LOW)
         for r in range(64)
     ]
-    a = propose_patches(labeled, tiling, desk_grid, 10)
-    b = propose_patches(labeled, tiling, desk_grid, 10)
+    a = propose_patches(labeled, tiling, desk_grid, 10, BEACON)
+    b = propose_patches(labeled, tiling, desk_grid, 10, BEACON)
     assert a == b
     assert len(a) == 10
     for p in a:
         assert desk_grid.cells[p.cell[1], p.cell[0]] == EMPTY
     # after applying, a re-run never proposes an occupied cell
     updated = with_artificial(desk_grid, [p.cell for p in a])
-    again = propose_patches(labeled, tiling, updated, 10)
+    again = propose_patches(labeled, tiling, updated, 10, BEACON)
     occupied = {p.cell for p in a}
     assert all(p.cell not in occupied for p in again)
 

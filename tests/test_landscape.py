@@ -551,7 +551,7 @@ def test_write_coverage_csv_pinned(tiled, tmp_path):
     cov[0, 0] = 2**31 + 7
     cov[17, 40] = 2**40
     cov[-1, -1] = 2**63 - 1
-    report = ScoutReport(cov, frozenset(), 0.0, 0.0, 0, tiled.traversable_count())
+    report = ScoutReport(cov, frozenset(), 0.0, 0.0)
     write_coverage_csv(tmp_path / "coverage.csv", report)
     data = (tmp_path / "coverage.csv").read_bytes()
     assert data.count(b"\n") == tiled.height

@@ -39,8 +39,6 @@ def record(detected_fraction=0.3, total_visits=1000, natural_ids=(0, 1, 2, 3),
         detected_patch_ids=frozenset(detected_ids),
         covered_area_fraction=covered,
         detected_patch_fraction=detected_fraction,
-        n_patches=len(natural_ids),
-        traversable_cells=4,
     )
     return SeasonRecord(days=[], totals=totals, scout_report=report, coverage_by_day={})
 

@@ -16,7 +16,6 @@ from beeloop.monitor import (
     fit,
     load_model,
     predict,
-    predict_batch,
     r_squared,
     save_model,
     split_samples,
@@ -96,12 +95,6 @@ def test_predict_arity_mismatch():
     model = LinearModel((1.0, 2.0), 0.0, 0.0)
     with pytest.raises(ArityMismatchError):
         predict(model, (1.0, 2.0, 3.0))
-
-
-def test_batch_predict_matches_map():
-    model = fit(plane_samples(n=30, noise=1.0, seed=3))
-    rows = [s.features for s in plane_samples(n=10, seed=4)]
-    assert predict_batch(model, rows) == [predict(model, r) for r in rows]
 
 
 def test_r_squared_perfect_and_mean_only():

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beeloop.control import (
     CoverageLabel,
@@ -11,7 +12,7 @@ from beeloop.control import (
 from beeloop.errors import RegionSetMismatchError
 from beeloop.foraging import ColonyParams
 from beeloop.landscape import derive_patches, tile_regions, with_artificial
-from beeloop.monitor import LinearModel
+from beeloop.monitor import LinearModel, day_features, predict
 from beeloop.scouting import ScoutParams
 from beeloop.supervisor import (
     ControlBounds,
@@ -22,9 +23,10 @@ from beeloop.supervisor import (
     required_labels,
     run_fi_loop,
 )
-from beeloop.weather import synth_weather
+from beeloop.weather import EnvControl, synth_weather
 
 LOW, NORMAL, HIGH = CoverageLabel.LOW, CoverageLabel.NORMAL, CoverageLabel.HIGH
+_WEATHER = synth_weather(1)
 
 FAST_SCOUTS = ScoutParams(n_scouts=40)
 FAST_COLONY = ColonyParams(season=(120, 180))
@@ -80,15 +82,48 @@ def test_optimize_light_coefficient_maxes_light_only():
     assert ctrl.extra_light_hours == 5.0
 
 
-def test_optimize_collapsed_bounds_returns_point():
-    bounds = ControlBounds(
-        max_temp_uplift=2.0, max_extra_light_h=3.0,
-        min_temp_uplift=2.0, min_extra_light_h=3.0,
-    )
-    ctrl = optimize_env_control(
-        zero_model(), synth_weather(1), (120, 180), bounds, 5, 16.0
-    )
-    assert (ctrl.temp_uplift, ctrl.extra_light_hours) == (2.0, 3.0)
+def reference_optimize(model, weather, window, max_uplift, max_light, grid_steps, cap):
+    """The grid search written with explicit lower bounds, both at 0.0."""
+    def axis(lo, hi):
+        if grid_steps == 1 or hi == lo:
+            return [lo]
+        return [lo + (hi - lo) * i / (grid_steps - 1) for i in range(grid_steps)]
+
+    days = [weather.day(d) for d in range(window[0], window[1] + 1)]
+    best = None
+    best_score = None
+    for uplift in axis(0.0, max_uplift):
+        for extra in axis(0.0, max_light):
+            ctrl = EnvControl(uplift, extra, window)
+            score = sum(predict(model, day_features(dw, ctrl, cap)) for dw in days)
+            if best_score is None or score > best_score:
+                best, best_score = ctrl, score
+    return best
+
+
+_coef = st.floats(-50.0, 50.0)
+_max_bound = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coefs=st.tuples(_coef, _coef, _coef, _coef),
+    intercept=_coef,
+    max_uplift=_max_bound,
+    max_light=_max_bound,
+    grid_steps=st.integers(1, 9),
+    start=st.integers(100, 200),
+    length=st.integers(0, 4),
+)
+def test_optimize_matches_search_from_zero(
+    coefs, intercept, max_uplift, max_light, grid_steps, start, length
+):
+    model = LinearModel(coefs, intercept, 0.0)
+    window = (start, start + length)
+    args = (model, _WEATHER, window)
+    assert optimize_env_control(
+        *args, ControlBounds(max_uplift, max_light), grid_steps, 16.0
+    ) == reference_optimize(*args, max_uplift, max_light, grid_steps, 16.0)
 
 
 def test_loop_stops_immediately_when_tolerance_met(desk_grid):
@@ -127,7 +162,7 @@ def test_loop_invariants_on_desk(desk_grid):
     )
     assert len(plan.placed_patches) <= 9
     assert plan.iterations_used == len(trace)
-    losses = [s.loss for s in trace.steps]
+    losses = [s.loss for s in trace]
     assert losses == sorted(losses, reverse=True)
     assert len(set(losses)) == len(losses)  # strict decrease
     assert final.totals.total_visits >= baseline.totals.total_visits
@@ -160,7 +195,7 @@ def test_loop_with_iterative_refit(desk_grid):
     plan_a, trace_a, base_a, final_a = run_fi_loop(*args, seed=13, settings=settings)
     plan_b, trace_b, base_b, final_b = run_fi_loop(*args, seed=13, settings=settings)
     assert plan_a == plan_b and trace_a == trace_b
-    losses = [s.loss for s in trace_a.steps]
+    losses = [s.loss for s in trace_a]
     assert losses == sorted(losses, reverse=True)
     assert final_a.totals.total_visits >= base_a.totals.total_visits
 
