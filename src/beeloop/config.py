@@ -64,7 +64,7 @@ _SECTIONS = {
     "foraging": {
         "initial_workers": int, "forager_fraction": _float,
         "trips_per_forager_hour": _float, "patches_per_trip": int, "season_start": int,
-        "season_end": int, "reference_distance_m": _float, "scout_cadence_days": int,
+        "season_end": int, "scout_cadence_days": int,
         "base_cap_h": _float, "fi_cap_h": _float,
     },
     "control": {

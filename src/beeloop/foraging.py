@@ -2,10 +2,8 @@
 
 Colony demography is frozen: the forager count never changes. Each day the
 colony completes round(active_foragers * trips_per_forager_hour * hours)
-trips; every trip visits ``patches_per_trip`` patches drawn from a weighted
-multinomial over the patches the colony currently knows about. The weight of
-a patch is nectar / (1 + distance / reference_distance), a single-knob
-quality-versus-distance tradeoff.
+trips; each trip visits ``patches_per_trip`` known patches, and with none
+known no trip flies.
 
 Scouting knowledge refreshes every ``scout_cadence_days`` days and is
 cumulative: once a patch is known it stays known for the season. A season is
@@ -16,17 +14,17 @@ walk rather than re-rolling it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .landscape import CellGrid, Patch
-from .rng import derive_seed, generator
+from .rng import derive_seed
 from .scouting import ScoutParams, ScoutReport, simulate_at_checkpoints
 from .weather import DayWeather, EnvControl, WeatherSeries, foraging_hours
 
 TRIPS_PER_SUN_HOUR_EPS = 1e-6
-DEFAULT_REFERENCE_DISTANCE_M = 1000.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class ColonyParams:
     patches_per_trip: int = 1
     forager_fraction: float = 0.25
     season: tuple[int, int] = (91, 243)  # April through August
-    reference_distance_m: float = DEFAULT_REFERENCE_DISTANCE_M
 
     def __post_init__(self):
         if self.initial_workers < 0 or self.trips_per_forager_hour < 0:
@@ -45,8 +42,15 @@ class ColonyParams:
             raise ValueError("patches_per_trip must be non-negative")
         if not (0.0 <= self.forager_fraction <= 1.0):
             raise ValueError("forager_fraction must be in [0, 1]")
-        if not self.reference_distance_m > 0:
-            raise ValueError("reference_distance_m must be positive")
+        # The monitor fits float(visits); above 2**53 day counts would alias.
+        # 24 h is the longest daily cap a scenario can set.
+        try:
+            most_visits = (round(self.forager_fraction * self.initial_workers)
+                           * self.trips_per_forager_hour * 24.0 * self.patches_per_trip)
+        except OverflowError:
+            most_visits = math.inf
+        if most_visits > 2**53:
+            raise ValueError("a day's visits at a 24 h cap must not exceed 2**53")
         if self.season[0] > self.season[1] + 1:
             raise ValueError("season start must not exceed end + 1")
 
@@ -55,7 +59,7 @@ class ColonyParams:
 class DayRecord:
     day: int
     foraging_period: float  # hours
-    visits_per_patch: dict[int, int]
+    visits: int
     completed_trips: int
     trips_per_sunshine_hour: float
 
@@ -88,35 +92,23 @@ class SeasonRecord:
 
 
 def simulate_day(
-    patches: list[Patch],
+    known: bool,
     dw: DayWeather,
     ctrl: EnvControl | None,
     colony: ColonyParams,
-    seed: int,
     day: int,
     cap_hours: float = 9.0,
 ) -> DayRecord:
-    """One day of foraging over the currently known patches."""
+    """One day of foraging; ``known`` says whether the colony knows any patch."""
     period = foraging_hours(dw, ctrl, cap_hours)
     active = int(round(colony.forager_fraction * colony.initial_workers))
-    if not patches or period == 0.0 or active == 0:
-        return DayRecord(day, period, {}, 0, 0.0)
+    if not known or period == 0.0 or active == 0:
+        return DayRecord(day, period, 0, 0, 0.0)
     trips = int(round(active * colony.trips_per_forager_hour * period))
-    visits_total = trips * colony.patches_per_trip
-    weights = np.array(
-        [
-            p.nectar_quantity / (1.0 + p.distance_from_hive / colony.reference_distance_m)
-            for p in patches
-        ]
-    )
-    total_w = weights.sum()
-    probs = weights / total_w if total_w > 0 else np.full(len(patches), 1.0 / len(patches))
-    counts = generator(seed).multinomial(visits_total, probs)
-    visits = {p.id: int(c) for p, c in zip(patches, counts)}
     return DayRecord(
         day=day,
         foraging_period=period,
-        visits_per_patch=visits,
+        visits=trips * colony.patches_per_trip,
         completed_trips=trips,
         trips_per_sunshine_hour=trips / max(dw.sunshine_hours, TRIPS_PER_SUN_HOUR_EPS),
     )
@@ -132,7 +124,7 @@ def aggregate_totals(
     )
     n_days = len(days)
     return SeasonTotals(
-        total_visits=sum(sum(d.visits_per_patch.values()) for d in days),
+        total_visits=sum(d.visits for d in days),
         total_trips=sum(d.completed_trips for d in days),
         mean_foraging_period=(
             sum(d.foraging_period for d in days) / n_days if n_days else 0.0
@@ -196,7 +188,6 @@ def run_season(
 
     coverage = np.zeros((grid.height, grid.width), dtype=np.int64)
     walked = 0
-    by_id = {p.id: p for p in patches}
     days: list[DayRecord] = []
     coverage_by_day: dict[int, tuple[int, float]] = {}
     natural = {p.id for p in patches if not p.artificial}
@@ -206,15 +197,8 @@ def run_season(
             coverage += report_at[steps_by_day[day]].coverage
             walked = max(walked, steps_by_day[day])
         longest = report_at[walked]
-        known = [by_id[i] for i in sorted(longest.detected_patch_ids)]
         rec = simulate_day(
-            known,
-            weather.day(day),
-            ctrl,
-            colony,
-            derive_seed(seed, "day", day),
-            day,
-            cap_hours,
+            bool(longest.detected_patch_ids), weather.day(day), ctrl, colony, day, cap_hours
         )
         days.append(rec)
         coverage_by_day[day] = (
@@ -241,7 +225,7 @@ def write_season_csv(path, record: SeasonRecord) -> None:
             found, frac = record.coverage_by_day[d.day]
             fh.write(
                 f"{d.day},{d.foraging_period!r},{d.completed_trips},"
-                f"{d.trips_per_sunshine_hour!r},{sum(d.visits_per_patch.values())},"
+                f"{d.trips_per_sunshine_hour!r},{d.visits},"
                 f"{found},{frac!r}\n"
             )
 

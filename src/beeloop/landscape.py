@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     MultipleHivesError,
     NoHiveError,
+    OutOfRangeValueError,
     RaggedRowsError,
     UnknownSymbolError,
     ZeroRegionsError,
@@ -243,6 +244,8 @@ def _connected_components(mask: np.ndarray) -> list[list[int]]:
 
 
 def _patch(grid, hive_xy, members, pid, artificial, detect, nectar, pollen) -> Patch:
+    if not (math.isfinite(nectar) and math.isfinite(pollen)):
+        raise OutOfRangeValueError(f"patch {pid} has nectar {nectar} and pollen {pollen}")
     cs = grid.cell_size
     width = grid.width
     xs = [(i % width + 0.5) * cs for i in members]

@@ -251,7 +251,7 @@ def run_fi_loop(
         samples = [
             MonitorSample(
                 day_features(weather.day(d.day), incumbent.ctrl, cap),
-                float(sum(d.visits_per_patch.values())),
+                float(d.visits),
             )
             for d in incumbent.season.days
         ]

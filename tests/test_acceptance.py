@@ -18,7 +18,6 @@ import beeloop
 from beeloop.cli import default_config_path
 from beeloop.control import ThresholdClassifier, classify, synthetic_region_sample, train_softmax
 from beeloop.foraging import ColonyParams, simulate_day
-from beeloop.landscape import Patch
 from beeloop.metrics import compare, display_pii, pii
 from beeloop.monitor import MonitorSample, day_features, fit, r_squared, split_samples
 from beeloop.scouting import ScoutParams, run_scouting
@@ -131,8 +130,7 @@ def test_criterion_6_conservation():
     with criterion(6, "visit conservation"):
         rng = np.random.Generator(np.random.Philox(key=99))
         day = DayWeather(day=150, max_temp=20.0, sunshine_hours=8.0)
-        for case in range(1000):
-            n_patches = int(rng.integers(1, 9))
+        for _ in range(1000):
             per_trip = int(rng.integers(1, 5))
             colony = ColonyParams(
                 initial_workers=int(rng.integers(0, 5000)),
@@ -140,18 +138,8 @@ def test_criterion_6_conservation():
                 trips_per_forager_hour=float(rng.uniform(0.0, 0.5)),
                 patches_per_trip=per_trip,
             )
-            patches = [
-                Patch(
-                    id=i, centroid=(100.0 * (i + 1), 0.0), area=500.0,
-                    cell_members=(i,), distance_from_hive=100.0 * (i + 1),
-                    nectar_quantity=float(rng.uniform(0.1, 20.0)),
-                    pollen_quantity=1.0, detection_probability=0.5,
-                    artificial=False,
-                )
-                for i in range(n_patches)
-            ]
-            rec = simulate_day(patches, day, None, colony, seed=case, day=150)
-            assert sum(rec.visits_per_patch.values()) == rec.completed_trips * per_trip
+            rec = simulate_day(True, day, None, colony, day=150)
+            assert rec.visits == rec.completed_trips * per_trip
 
 
 def test_criterion_6b_totals_reaggregation(fi_runs):
@@ -159,9 +147,7 @@ def test_criterion_6b_totals_reaggregation(fi_runs):
         runs, _ = fi_runs
         for _, _, baseline, final in runs:
             for record in (baseline, final):
-                visits = sum(
-                    sum(d.visits_per_patch.values()) for d in record.days
-                )
+                visits = sum(d.visits for d in record.days)
                 trips = sum(d.completed_trips for d in record.days)
                 assert record.totals.total_visits == visits
                 assert record.totals.total_trips == trips

@@ -331,9 +331,9 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
         "[landscape]\nnectar_per_m2 = -1",
         "[landscape]\nartificial_nectar_fraction = -1",
         "[landscape]\nartificial_detect = 1.5",
-        "[foraging]\nreference_distance_m = 0",
-        "[foraging]\nreference_distance_m = -1000",
+        "[foraging]\nreference_distance_m = 1000",
         "[foraging]\ntrips_per_forager_hour = inf",
+        "[foraging]\ntrips_per_forager_hour = 1e300",
         "[control]\nsearch_radius = inf",
         "[control]\nsearch_radius = -1",
         "[control]\nwaypoint_fraction = 5",
@@ -344,8 +344,9 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
     ],
     ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights",
          "inf_step", "inf_radius", "inf_range", "negative_kappa", "inf_nectar",
-         "negative_nectar", "negative_nectar_fraction", "detect_above_1", "zero_reference",
-         "negative_reference", "inf_trip_rate", "inf_search_radius", "negative_search_radius",
+         "negative_nectar", "negative_nectar_fraction", "detect_above_1",
+         "retired_reference_distance", "inf_trip_rate", "huge_trip_rate", "inf_search_radius",
+         "negative_search_radius",
          "waypoint_above_1", "inf_tolerance", "inf_uplift", "negative_uplift",
          "negative_light"],
 )
@@ -361,6 +362,18 @@ def test_bad_scenario_value_fails_at_load(tmp_path, capsys, extra):
     for command in ("baseline", "fi", "train-monitor"):
         assert main([command, "--config", str(config), "--out", str(out)]) != 0
         assert_one_error(capsys, "ConfigError", out)
+
+
+@pytest.mark.parametrize("key", ["nectar_per_m2", "pollen_per_m2", "artificial_nectar_fraction"])
+def test_patch_food_overflowing_to_inf_rejected(tmp_path, capsys, key):
+    config = write_config(tmp_path, n_scouts=10)
+    config.write_text(config.read_text() + f"\n[landscape]\n{key} = 1e308\n")
+    out = tmp_path / "x"
+    # baseline places no artificial patch
+    commands = ("fi",) if key == "artificial_nectar_fraction" else ("baseline", "fi")
+    for command in commands:
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "OutOfRangeValue", out)
 
 
 @pytest.mark.parametrize("cell_size", ["nan", "inf"])

@@ -42,7 +42,6 @@ WIRING = {
     (("foraging", "patches_per_trip"),): (["2"], {"colony.patches_per_trip": 2}),
     (("foraging", "season_start"),): (["100"], {"colony.season[0]": 100}),
     (("foraging", "season_end"),): (["200"], {"colony.season[1]": 200}),
-    (("foraging", "reference_distance_m"),): (["500"], {"colony.reference_distance_m": 500.0}),
     (("foraging", "scout_cadence_days"),): (["3"], {"settings.scout_cadence_days": 3}),
     (("foraging", "base_cap_h"),): (["8"], {"settings.base_cap_h": 8.0}),
     (("foraging", "fi_cap_h"),): (["12"], {"settings.fi_cap_h": 12.0}),
