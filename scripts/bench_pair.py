@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a base revision against the working tree.
+
+The base revision is unpacked with ``git archive`` into a temporary directory,
+so the repository's ``.git`` is never touched. For each workload the script
+runs ``bench/run.py --workload W --seed S --seconds T`` on both sides for each
+seed, one pair per seed. The side that runs first alternates from pair to
+pair, so a drift in machine speed does not favour either side. It writes the
+per-side values, median and quartiles of every end-to-end metric listed in
+``BENCHMARK.json``, and in how many pairs the working tree was better, to one
+JSON file:
+
+    python scripts/bench_pair.py --base HEAD --seeds 1:10 --seconds 10 --out BENCH.json
+
+Compare only pairs taken in one session on one machine; the file records the
+machine it ran on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unpack(rev: str, dest: Path) -> str:
+    """Extract ``rev``'s tree into ``dest``; returns the full commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "archive", commit], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return commit
+
+
+def bench(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One ``bench/run.py`` run in checkout ``root``: its closing JSON line."""
+    result = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = result.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"bench/run.py gave no result in {root}:\n{result.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def seed_list(text: str) -> list[int]:
+    if ":" in text:
+        lo, hi = (int(part) for part in text.split(":"))
+        return list(range(lo, hi + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", action="append",
+                    help="workload name; repeat for several (default: all in BENCHMARK.json)")
+    ap.add_argument("--seeds", default="1:10", help="A:B (inclusive) or a comma list")
+    ap.add_argument("--seconds", type=int, default=10)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seeds = seed_list(args.seeds)
+    if len(seeds) < 2:
+        ap.error("--seeds needs at least two seeds for quartiles")
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+
+    out = {
+        "base": None,
+        "change": "working tree",
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        base_root = Path(tmp)
+        out["base"] = unpack(args.base, base_root)
+        for workload in workloads:
+            runs = {"base": [], "change": []}
+            for i, seed in enumerate(seeds):
+                sides = [("base", base_root), ("change", ROOT)]
+                for side, root in sides if i % 2 == 0 else sides[::-1]:
+                    res = bench(root, workload, seed, args.seconds)
+                    runs[side].append(res)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"job_s_p50 {res['metrics']['job_s_p50']['value']:.4f} "
+                          f"failed {res['failed']}", file=sys.stderr)
+            entry = {
+                "first_side": ["base" if i % 2 == 0 else "change" for i in range(len(seeds))],
+                "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+                "metrics": {},
+            }
+            for name, m in metrics.items():
+                base = [r["metrics"][name]["value"] for r in runs["base"]]
+                change = [r["metrics"][name]["value"] for r in runs["change"]]
+                lower = m["better"] == "lower"
+                entry["metrics"][name] = {
+                    "unit": m["unit"],
+                    "better": m["better"],
+                    "base": summary(base),
+                    "change": summary(change),
+                    "change_better_pairs": sum(
+                        (c < b) if lower else (c > b) for b, c in zip(base, change)
+                    ),
+                }
+            out["workloads"][workload] = entry
+    args.out.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,7 @@ import numpy as np
 
 from .landscape import CellGrid, Patch
 from .rng import derive_seed
-from .scouting import ScoutParams, ScoutReport, simulate_at_checkpoints
+from .scouting import ScoutParams, ScoutReport, WalkLog, simulate_at_checkpoints
 from .weather import DayWeather, EnvControl, WeatherSeries, foraging_hours
 
 TRIPS_PER_SUN_HOUR_EPS = 1e-6
@@ -154,6 +154,7 @@ def run_season(
     seed: int,
     cap_hours: float = 9.0,
     collect_trajectories: bool = False,
+    log: WalkLog | None = None,
 ) -> SeasonRecord:
     """Simulate the season window day by day.
 
@@ -163,7 +164,8 @@ def run_season(
     refreshes' visit counts, and on each day the colony knows what the
     longest prefix walked so far detected, which is every detection so far.
     With ``collect_trajectories`` the record also carries the paths of the
-    first refresh whose day has foraging hours.
+    first refresh whose day has foraging hours. ``log`` goes to the walk: it
+    records it, and resumes it from its base's walk if it has one.
     """
     if scout_cadence_days < 1:
         raise ValueError("scout_cadence_days must be >= 1")
@@ -178,7 +180,7 @@ def run_season(
     }
     checkpoints = sorted({0, *steps_by_day.values()})
     reports = simulate_at_checkpoints(
-        grid, patches, scout_params, checkpoints, scout_seed, collect_trajectories
+        grid, patches, scout_params, checkpoints, scout_seed, collect_trajectories, log
     )
     report_at = dict(zip(checkpoints, reports))
     first_refresh_paths = None

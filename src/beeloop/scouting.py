@@ -38,6 +38,22 @@ one is compared with every entry of the other, and rows are short.
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
+
+Resuming a walk. Because the draws never depend on what scouts sense, two
+walks with the same seed, grid obstacles, params and crop patches agree step
+for step until some scout stands on a cell whose sensing row differs between
+them. A ``WalkLog`` records a walk so that the next one can start from there:
+each scout's cell after every step ((steps, n_scouts) int32, so
+O(steps x scouts) memory), every detection as (step, patch id), and the full
+walk state (positions, headings, targets, dwell and the Philox generator
+state, which a jump cannot replace because ziggurat normals take a variable
+number of words) at step 0, every 16 steps and the last step. A walk given
+its predecessor's log finds the first step k at which a logged cell's
+artificial entries differ or name an artificial id whose patch differs,
+restores the last state saved before k and runs the same step loop from
+there; checkpoints up to that state are read off the log. Its sensing map
+is the predecessor's crop rows with its own artificial rows appended. Only
+the feedback loop passes logs, so a plain walk pays for none of this.
 """
 
 from __future__ import annotations
@@ -106,7 +122,9 @@ def build_sensing_map(
     Row ``cell`` is ``indices[indptr[cell]:indptr[cell + 1]]``, the ids of the
     patches with a member cell within ``radius`` cells of ``cell``.
     """
-    reach = int(radius)
+    # No offset longer than the grid's larger side lands on the grid, so the
+    # cap leaves every row as it is and bounds the offsets of a huge radius.
+    reach = min(int(radius), max(grid.width, grid.height))
     offsets = np.array(
         [
             (dr, dc)
@@ -134,6 +152,108 @@ def build_sensing_map(
     indptr = np.zeros(width * height + 1, dtype=np.int64)
     np.cumsum(np.bincount(cells, minlength=width * height), out=indptr[1:])
     return indptr, indices
+
+
+def append_sensing_rows(
+    rows: tuple[np.ndarray, np.ndarray], extra: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``rows`` with each row of ``extra`` appended to the same cell's row.
+
+    When every id in ``extra`` exceeds every id in ``rows``, as artificial ids
+    follow crop ids, this is ``build_sensing_map`` over both patch lists.
+    """
+    indptr, indices = rows
+    extra_indptr, extra_indices = extra
+    if not extra_indices.size:
+        return rows
+    row_ends = np.repeat(indptr[1:], np.diff(extra_indptr))
+    return indptr + extra_indptr, np.insert(indices, row_ends, extra_indices)
+
+
+def _split_artificial(patches: list[Patch]) -> tuple[tuple[Patch, ...], tuple[Patch, ...]]:
+    """(crop, artificial) patches, or (all, ()) unless artificial ids come last."""
+    crop = tuple(p for p in patches if not p.artificial)
+    art = tuple(p for p in patches if p.artificial)
+    if crop and art and max(p.id for p in crop) >= min(p.id for p in art):
+        return tuple(patches), ()
+    return crop, art
+
+
+class WalkLog:
+    """What one walk records so that a later walk can resume from it.
+
+    ``WalkLog()`` records a walk; ``WalkLog(base)`` resumes from the walk that
+    ``base`` recorded and records this one, ``base``'s prefix included. After
+    the walk it holds:
+
+    - ``cells``: (steps, n_scouts) int32, each scout's flat cell after every
+      step. A resumed walk that stops before its resume step keeps the whole
+      prefix, so ``steps`` can exceed the walk's own last checkpoint.
+    - ``hit_steps``, ``hit_ids``: every detection as (step, patch id).
+    - ``states``: step -> (x, y, heading, target, dwell, move generator state)
+      at step 0, every ``SAVE_EVERY`` steps and at the last step walked.
+    - ``resumed_at``: the step the walk took over from ``base``, 0 for none.
+
+    It also keeps the walk's sensing rows split into crop and artificial
+    entries and the facts a resume is checked against.
+    """
+
+    SAVE_EVERY = 16
+
+    def __init__(self, base: WalkLog | None = None):
+        self.base = base
+        self.resumed_at = 0
+
+    def _begin(self, grid, patches, params, seed, obstacles):
+        """Build the walk's sensing rows; take over ``base``'s prefix if it can.
+
+        Returns the rows and the resume step r. The walk equals ``base``'s
+        until the first step k at which some scout stands on a cell whose
+        artificial entries differ, or name an artificial id whose patch
+        differs, so r is the last state saved before k.
+        """
+        radius = params.detection_radius
+        key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell)
+        crop, art = _split_artificial(patches)
+        base, self.base = self.base, None  # released: logs do not chain
+        if not (
+            base is not None and base.key == key and base.crop == crop
+            and np.array_equal(base.obstacles, obstacles)
+        ):
+            base = None
+        crop_rows = base.crop_rows if base else build_sensing_map(grid, list(crop), radius)
+        art_rows = build_sensing_map(grid, list(art), radius)
+        self.key, self.obstacles, self.crop, self.art, self.crop_rows = (
+            key, obstacles, crop, art, crop_rows
+        )
+        self.art_cells = np.repeat(np.arange(grid.width * grid.height), np.diff(art_rows[0]))
+        self.art_ids = art_rows[1]
+        start = base._last_shared_state(self) if base else 0
+        if base:
+            self.cells = base.cells[:start]
+            shared = base.hit_steps <= start
+            self.hit_steps, self.hit_ids = base.hit_steps[shared], base.hit_ids[shared]
+            self.states = {s: state for s, state in base.states.items() if s <= start}
+        else:
+            self.cells = np.empty((0, params.n_scouts), dtype=np.int32)
+            self.hit_steps = np.empty(0, dtype=np.int32)
+            self.hit_ids = np.empty(0, dtype=np.int64)
+            self.states = {}
+        self.resumed_at = start
+        return append_sensing_rows(crop_rows, art_rows), start
+
+    def _last_shared_state(self, other: WalkLog) -> int:
+        """Last saved step before ``other``'s walk can first differ from this one."""
+        old = {p.id: p for p in self.art}
+        new = {p.id: p for p in other.art}
+        moved = {j for j in old.keys() | new.keys() if old.get(j) != new.get(j)}
+        before = set(zip(self.art_cells.tolist(), self.art_ids.tolist()))
+        after = set(zip(other.art_cells.tolist(), other.art_ids.tolist()))
+        changed = np.zeros(other.obstacles.size, dtype=bool)
+        changed[[c for c, j in before ^ after] + [c for c, j in before | after if j in moved]] = True
+        touched = np.flatnonzero(changed[self.cells].any(axis=1))
+        first = int(touched[0]) + 1 if touched.size else len(self.cells) + 1
+        return max(s for s in self.states if s < first)
 
 
 def _row_pairs(row_start, row_len, indices, cells, scouts):
@@ -166,6 +286,12 @@ def _make_report(coverage, detected, n_patches, traversable, trajectories=None) 
     )
 
 
+def _walk_state(x, y, heading, target, dwell, move_rng) -> tuple:
+    """Copies of everything a step reads from the steps before it, bar the cell."""
+    return (x.copy(), y.copy(), heading.copy(), target.copy(), dwell.copy(),
+            move_rng.bit_generator.state)
+
+
 def simulate_at_checkpoints(
     grid: CellGrid,
     patches: list[Patch],
@@ -173,16 +299,23 @@ def simulate_at_checkpoints(
     checkpoints: list[int],
     seed: int,
     collect_trajectories: bool = False,
+    log: WalkLog | None = None,
 ) -> list[ScoutReport]:
     """One walk, snapshotted at each requested step count.
 
     The snapshot at ``s`` steps is identical to an independent run of ``s``
     steps with the same seed, which is what makes scouting monotone in
     effort and lets a season reuse a single walk across refresh days.
+
+    With ``log`` the walk is recorded into it, and a log made with a base
+    resumes from the base's walk: snapshots up to the resume step come from
+    the base's cells and hits, and the step loop runs on from there.
     """
     order = sorted(set(checkpoints))
     if order and order[0] < 0:
         raise ValueError("checkpoints must be non-negative")
+    if collect_trajectories and log is not None and log.base is not None:
+        raise ValueError("a resumed walk cannot collect trajectories")
     wanted = set(order)
     total_steps = order[-1] if order else 0
     width, height = grid.width, grid.height
@@ -209,10 +342,16 @@ def simulate_at_checkpoints(
     target = np.full(n, -1, dtype=np.int64)
     dwell = np.zeros(n, dtype=np.int64)
 
-    indptr, indices = build_sensing_map(grid, patches, params.detection_radius)
+    blocked_cells = grid.obstacle_mask()
+    start = 0
+    if log is None:
+        indptr, indices = build_sensing_map(grid, patches, params.detection_radius)
+    else:
+        (indptr, indices), start = log._begin(grid, patches, params, seed, blocked_cells)
     n_cells = width * height
     # Row n_cells is empty: the "previous cell" of every scout before step 1.
-    row_start = np.append(indptr[:-1], 0)
+    # It starts at indptr[n_cells], past the last entry, which is only ever
+    # read under a mask that excludes an empty row.
     row_len = np.append(np.diff(indptr), 0)
     max_row = int(row_len.max())
     prev_flat = np.full(n, n_cells, dtype=np.int64)
@@ -231,7 +370,6 @@ def simulate_at_checkpoints(
     patch_hash = mix64_array(np.arange(n_ids, dtype=np.uint64))
     found = np.zeros(n_ids, dtype=bool)
 
-    blocked_cells = grid.obstacle_mask()
     leash_cells = params.max_range / grid.cell_size
     step_len = params.step_length
 
@@ -241,13 +379,32 @@ def simulate_at_checkpoints(
         np.zeros((n, total_steps, 2), dtype=np.float64) if collect_trajectories else None
     )
 
-    # Trajectory snapshots are views: the walk never rewrites a past step.
+    # Snapshots up to the resume step are read off the log's prefix; a fresh
+    # walk has only step 0 there. Trajectory snapshots are views: the walk
+    # never rewrites a past step.
     snapshots: dict[int, ScoutReport] = {}
-    if 0 in order:
-        traj0 = trajectories[:, :0] if trajectories is not None else None
-        snapshots[0] = _make_report(coverage.copy(), (), n_patches, traversable, traj0)
+    counted = 0
+    for s in sorted({start, *(c for c in order if c <= start)}):
+        if s > counted:
+            coverage_flat += np.bincount(log.cells[counted:s].ravel(), minlength=n_cells)
+            counted = s
+        if s in wanted:
+            found_by_s = set(log.hit_ids[log.hit_steps <= s].tolist()) if s else ()
+            traj0 = trajectories[:, :0] if trajectories is not None else None
+            snapshots[s] = _make_report(coverage.copy(), found_by_s, n_patches, traversable, traj0)
+    if start:
+        found[log.hit_ids] = True
+        x, y, heading, target, dwell, rng_state = (a.copy() for a in log.states[start])
+        move_rng.bit_generator.state = rng_state
+        prev_flat = log.cells[start - 1].astype(np.int64)
+    if log is not None:
+        if not start:
+            log.states[0] = _walk_state(x, y, heading, target, dwell, move_rng)
+        walked = np.empty((max(start, total_steps), n), dtype=np.int32)
+        walked[:start] = log.cells
+        hit_steps, hit_ids = [log.hit_steps], [log.hit_ids]
 
-    for step in range(1, total_steps + 1):
+    for step in range(start + 1, total_steps + 1):
         # Per-step draws are a fixed block (n turn noises, n x retries raw
         # words) so one scout's detour never shifts another's stream.
         move_rng.standard_normal(out=turn_noise)
@@ -294,15 +451,17 @@ def simulate_at_checkpoints(
 
         flat = y.astype(np.int64) * width + x.astype(np.int64)
         np.add.at(coverage_flat, flat, 1)
+        if log is not None:
+            walked[step - 1] = flat
 
         # Encounter episodes: one hashed draw per newly sensed (scout, patch)
         # pair, i.e. an entry of the current cell's row missing from the
         # previous cell's row. Pairs run in (scout, patch id) order.
         moved = ((flat != prev_flat) & (row_len[flat] > 0)).nonzero()[0]
         if moved.size:
-            scout, pid = _row_pairs(row_start, row_len, indices, flat[moved], moved)
+            scout, pid = _row_pairs(indptr, row_len, indices, flat[moved], moved)
             # A pair is fresh unless its id is in the scout's previous row.
-            was_start = row_start[prev_flat[scout]]
+            was_start = indptr[prev_flat[scout]]
             was_len = row_len[prev_flat[scout]]
             fresh = np.ones(scout.size, dtype=bool)
             for j in range(max_row):
@@ -315,6 +474,9 @@ def simulate_at_checkpoints(
             hit = z.astype(np.float64) * _U64_SCALE < detect_prob[pid]
             scout, pid = scout[hit], pid[hit]
             found[pid] = True
+            if log is not None and pid.size:
+                hit_steps.append(np.full(pid.size, step, dtype=np.int32))
+                hit_ids.append(pid)
             # An idle scout locks onto its first hit, the lowest new patch id.
             starts = np.empty(scout.size, dtype=bool)
             starts[:1] = True
@@ -329,6 +491,8 @@ def simulate_at_checkpoints(
         # -1, so the release leaves them as they are.
         dwell -= target >= 0
         np.putmask(target, dwell <= 0, -1)
+        if log is not None and (step % log.SAVE_EVERY == 0 or step == total_steps):
+            log.states[step] = _walk_state(x, y, heading, target, dwell, move_rng)
 
         if step in wanted:
             traj = trajectories[:, :step] if trajectories is not None else None
@@ -336,6 +500,9 @@ def simulate_at_checkpoints(
                 coverage.copy(), found.nonzero()[0].tolist(), n_patches, traversable, traj
             )
 
+    if log is not None:
+        log.cells = walked
+        log.hit_steps, log.hit_ids = np.concatenate(hit_steps), np.concatenate(hit_ids)
     return [snapshots[s] for s in order]
 
 

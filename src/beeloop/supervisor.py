@@ -13,10 +13,19 @@ All seasons in one loop share the run seed, so a candidate differs from the
 incumbent only through the patches and controls it adds, with one exception:
 a new beacon renumbers the incumbent's beacons after it in scan order, which
 re-rolls their detection draws (see ``beeloop.scouting``).
+
+Each season records its walk in a ``WalkLog``, and a candidate's walk
+resumes from the incumbent's: it reuses the incumbent's steps up to the last
+saved state before any scout stands where the new beacons (or renumbered
+ones) change what it senses, and merges its sensing map from the
+incumbent's crop rows. Outputs are the bytes a full recompute gives. The log
+costs one int32 per scout and step, held for the baseline, the incumbent
+and the candidate, and only inside this loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +40,7 @@ from .control import (
     extract_features,
     propose_patches,
 )
-from .errors import RegionSetMismatchError
+from .errors import ArityMismatchError, RegionSetMismatchError
 from .foraging import ColonyParams, SeasonRecord, run_season
 from .landscape import (
     CROP,
@@ -45,8 +54,8 @@ from .landscape import (
     tile_regions,
     with_artificial,
 )
-from .monitor import FEATURE_NAMES, LinearModel, MonitorSample, day_features, fit, predict
-from .scouting import ScoutParams
+from .monitor import FEATURE_NAMES, LinearModel, MonitorSample, day_features, fit
+from .scouting import ScoutParams, WalkLog
 from .weather import EnvControl, WeatherSeries
 
 PATCHES_PER_ITERATION = 3
@@ -139,6 +148,7 @@ class _Evaluation:
     season: SeasonRecord
     features: list[RegionFeatures]
     labels: dict[int, CoverageLabel]
+    log: WalkLog  # the season's walk, for a candidate to resume from
 
     def labeled(self) -> list[tuple[RegionFeatures, CoverageLabel]]:
         return [(f, self.labels[f.region_id]) for f in self.features]
@@ -180,25 +190,49 @@ def optimize_env_control(
     Each axis runs from 0 to its bound in ``grid_steps`` even steps. Ties
     break toward smaller controls, lexicographically on uplift then extra
     light, so a flat objective returns (0, 0).
+
+    One (uplift, extra, day) array pass gives every control's score with the
+    bits of ``sum(predict(model, day_features(...)) for each day)``: the
+    harmonics come from ``math``, each prediction adds its feature terms to
+    zero in coefficient order and then the intercept, and the days are
+    summed left to right (``np.cumsum``, where ``np.sum`` would pair them).
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be >= 1")
+    if len(model.coefficients) != len(FEATURE_NAMES):
+        raise ArityMismatchError(
+            f"model has {len(model.coefficients)} features, got {len(FEATURE_NAMES)}"
+        )
 
     def axis(hi: float) -> list[float]:
         if grid_steps == 1 or hi == 0.0:
             return [0.0]
         return [hi * i / (grid_steps - 1) for i in range(grid_steps)]
 
+    uplifts, extras = axis(bounds.max_temp_uplift), axis(bounds.max_extra_light_h)
     days = [weather.day(d) for d in range(window[0], window[1] + 1)]
-    best = None
-    best_score = None
-    for uplift in axis(bounds.max_temp_uplift):
-        for extra in axis(bounds.max_extra_light_h):
-            ctrl = EnvControl(uplift, extra, window)
-            score = sum(predict(model, day_features(dw, ctrl, cap)) for dw in days)
-            if best_score is None or score > best_score:
-                best, best_score = ctrl, score
-    return best
+    # Every day lies in the control's window, so the control acts on all.
+    temp = np.array([dw.max_temp for dw in days])
+    sun = np.array([dw.sunshine_hours for dw in days])
+    angle = [2.0 * math.pi * dw.day / 365.0 for dw in days]
+    features = (
+        temp + np.array(uplifts)[:, None, None],
+        np.minimum(sun + np.array(extras)[None, :, None], cap),
+        np.array([math.sin(a) for a in angle]),
+        np.array([math.cos(a) for a in angle]),
+    )
+    terms = np.zeros((len(uplifts), len(extras), len(days)))
+    for c, f in zip(model.coefficients, features):
+        terms = terms + c * f
+    predictions = model.intercept + terms
+    scores = np.cumsum(
+        np.concatenate([np.zeros(terms.shape[:2] + (1,)), predictions], axis=2), axis=2
+    )[:, :, -1].ravel().tolist()
+    best = 0
+    for i, score in enumerate(scores):
+        if score > scores[best]:
+            best = i
+    return EnvControl(uplifts[best // len(extras)], extras[best % len(extras)], window)
 
 
 def _effective(ctrl: EnvControl) -> EnvControl | None:
@@ -229,16 +263,18 @@ def run_fi_loop(
     crop = [p for p in derive_patches(grid, settings.patch_params) if not p.artificial]
 
     def evaluate(
-        cand_grid: CellGrid, ctrl: EnvControl | None, collect: bool = False
+        cand_grid: CellGrid, ctrl: EnvControl | None, collect: bool = False,
+        incumbent: _Evaluation | None = None,
     ) -> _Evaluation:
         patches = crop + artificial_patches(cand_grid, crop, settings.patch_params)
+        log = WalkLog(incumbent.log if incumbent else None)
         season = run_season(
             cand_grid, patches, weather, ctrl, colony, settings.scout_cadence_days,
-            scout_params, seed, settings.cap_h(ctrl), collect,
+            scout_params, seed, settings.cap_h(ctrl), collect, log,
         )
         feats = extract_features(season.scout_report.coverage, tiling, cand_grid)
         labels = classify_regions(classifier, feats)
-        return _Evaluation(cand_grid, patches, ctrl, season, feats, labels)
+        return _Evaluation(cand_grid, patches, ctrl, season, feats, labels, log)
 
     def choose_control(incumbent: _Evaluation) -> EnvControl | None:
         """Fit the monitor on the incumbent's season; pick the next control.
@@ -291,7 +327,9 @@ def run_fi_loop(
         if not proposals and not ctrl_is_new:
             break
 
-        cand = evaluate(with_artificial(cur.grid, [p.cell for p in proposals]), ctrl_eff)
+        cand = evaluate(
+            with_artificial(cur.grid, [p.cell for p in proposals]), ctrl_eff, incumbent=cur
+        )
         cand_loss = coverage_loss(cand.labels, required)
 
         if cand_loss >= best_loss:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from beeloop.cli import main as cli_main
 from beeloop.errors import OutOfRangeValueError
 from beeloop.landscape import (
     PatchParams,
@@ -315,6 +316,25 @@ def test_sensing_map_matches_brute_force(radius):
     for cell in range(grid.width * grid.height):
         row = indices[indptr[cell] : indptr[cell + 1]].tolist()
         assert row == sorted(want.get(cell, ())), f"cell {cell}"
+
+
+def test_huge_detection_radius_senses_every_patch_from_every_cell(tmp_path):
+    """The offsets stop at the grid's larger side, so a 1e300 radius finishes."""
+    (tmp_path / "edge.map").write_text(make_map(EDGE_ROWS), encoding="utf-8")
+    config = tmp_path / "edge.conf"
+    config.write_text(
+        "[scenario]\nmap = edge.map\n\n[scouting]\nn_scouts = 5\ndetection_radius = 1e300\n"
+        "\n[foraging]\nseason_start = 150\nseason_end = 160\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["baseline", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "season.csv").is_file()
+    grid = parse_map(make_map(EDGE_ROWS))
+    patches = derive_patches(grid)
+    indptr, indices = build_sensing_map(grid, patches, 1e300)
+    every = [p.id for p in patches]
+    for cell in range(grid.width * grid.height):
+        assert indices[indptr[cell] : indptr[cell + 1]].tolist() == every, f"cell {cell}"
 
 
 def test_no_patches_gives_empty_sensing_map_and_no_detections():

@@ -73,6 +73,21 @@ def test_artifact_digests_repeat():
     assert second.stdout == first.stdout
 
 
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"
+
+
+def test_artifact_digests_match_golden():
+    """Every artifact of the digest matrix keeps its bytes. A change that moves
+    one edits tests/golden/artifact_digests.txt and says why."""
+    result = run_script("artifact_digests.py")
+    assert result.returncode == 0, result.stderr
+    want = GOLDEN_DIGESTS.read_text(encoding="utf-8").splitlines()
+    got = result.stdout.splitlines()
+    assert len(got) == len(want) == 304
+    for expected, line in zip(want, got):
+        assert line == expected
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
 def test_run_case_study_writes_comparison(tmp_path, flags):
     out = tmp_path / "case"

@@ -126,6 +126,61 @@ def test_optimize_matches_search_from_zero(
     ) == reference_optimize(*args, max_uplift, max_light, grid_steps, 16.0)
 
 
+def scalar_optimize(model, weather, window, bounds, grid_steps, cap):
+    """The per-control, per-day scalar loop the array search must match bit for bit."""
+    def axis(hi):
+        if grid_steps == 1 or hi == 0.0:
+            return [0.0]
+        return [hi * i / (grid_steps - 1) for i in range(grid_steps)]
+
+    days = [weather.day(d) for d in range(window[0], window[1] + 1)]
+    best = None
+    best_score = None
+    for uplift in axis(bounds.max_temp_uplift):
+        for extra in axis(bounds.max_extra_light_h):
+            ctrl = EnvControl(uplift, extra, window)
+            score = 0
+            for dw in days:  # left to right, as sum() adds on Python 3.10 and 3.11
+                score += predict(model, day_features(dw, ctrl, cap))
+            if best_score is None or score > best_score:
+                best, best_score = ctrl, score
+    return best
+
+
+_flat_or_coef = st.one_of(st.just(0.0), _coef)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coefs=st.tuples(_flat_or_coef, _flat_or_coef, _flat_or_coef, _flat_or_coef),
+    intercept=_coef,
+    max_uplift=_max_bound,
+    max_light=_max_bound,
+    grid_steps=st.integers(1, 9),
+    cap=st.floats(0.5, 24.0),
+    start=st.integers(1, 300),
+    length=st.integers(-1, 60),
+    weather_seed=st.integers(0, 3),
+)
+def test_array_search_matches_scalar_loop(
+    coefs, intercept, max_uplift, max_light, grid_steps, cap, start, length, weather_seed
+):
+    model = LinearModel(coefs, intercept, 0.0)
+    args = (model, synth_weather(weather_seed), (start, start + length),
+            ControlBounds(max_uplift, max_light), grid_steps, cap)
+    assert optimize_env_control(*args) == scalar_optimize(*args)
+
+
+@pytest.mark.parametrize("grid_steps", [1, 2, 7])
+@pytest.mark.parametrize("bounds", [ControlBounds(0.0, 0.0), ControlBounds(3.0, 5.0)])
+def test_flat_objective_returns_zero_control(grid_steps, bounds):
+    model = LinearModel((0.0, 0.0, 0.0, 0.0), 123.0, 0.0)
+    args = (model, _WEATHER, (120, 180), bounds, grid_steps, 16.0)
+    ctrl = optimize_env_control(*args)
+    assert (ctrl.temp_uplift, ctrl.extra_light_hours) == (0.0, 0.0)
+    assert ctrl == scalar_optimize(*args)
+
+
 def test_loop_stops_immediately_when_tolerance_met(desk_grid):
     cfg = UserConfig(loss_tolerance=math.inf)
     plan, trace, baseline, final = run_fi_loop(
