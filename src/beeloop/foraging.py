@@ -25,6 +25,7 @@ from .scouting import ScoutParams, ScoutReport, WalkLog, simulate_at_checkpoints
 from .weather import DayWeather, EnvControl, WeatherSeries, foraging_hours
 
 TRIPS_PER_SUN_HOUR_EPS = 1e-6
+BASE_CAP_H = 9.0  # daily foraging hour cap while no control acts
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def simulate_day(
     ctrl: EnvControl | None,
     colony: ColonyParams,
     day: int,
-    cap_hours: float = 9.0,
+    cap_hours: float = BASE_CAP_H,
 ) -> DayRecord:
     """One day of foraging; ``known`` says whether the colony knows any patch."""
     period = foraging_hours(dw, ctrl, cap_hours)
@@ -152,7 +153,7 @@ def run_season(
     scout_cadence_days: int,
     scout_params: ScoutParams,
     seed: int,
-    cap_hours: float = 9.0,
+    cap_hours: float = BASE_CAP_H,
     collect_trajectories: bool = False,
     log: WalkLog | None = None,
 ) -> SeasonRecord:

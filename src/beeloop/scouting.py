@@ -44,16 +44,17 @@ walks with the same seed, grid obstacles, params and crop patches agree step
 for step until some scout stands on a cell whose sensing row differs between
 them. A ``WalkLog`` records a walk so that the next one can start from there:
 each scout's cell after every step ((steps, n_scouts) int32, so
-O(steps x scouts) memory), every detection as (step, patch id), and the full
-walk state (positions, headings, targets, dwell and the Philox generator
-state, which a jump cannot replace because ziggurat normals take a variable
-number of words) at step 0, every 16 steps and the last step. A walk given
-its predecessor's log finds the first step k at which a logged cell's
-artificial entries differ or name an artificial id whose patch differs,
-restores the last state saved before k and runs the same step loop from
-there; checkpoints up to that state are read off the log. Its sensing map
-is the predecessor's crop rows with its own artificial rows appended. Only
-the feedback loop passes logs, so a plain walk pays for none of this.
+O(steps x scouts) memory), each patch's first-detection step (0 for none),
+and the full walk state (positions, headings, targets, dwell and the Philox
+generator state, which a jump cannot replace because ziggurat normals take a
+variable number of words) at step 0, every 16 steps and the last step. A
+walk given its predecessor's log finds the first step k at which a logged
+cell's artificial entries hold a moved id, one whose patch differs or exists
+in only one walk, restores the last state saved before k and runs the same
+step loop from there; checkpoints up to that state are read off the log. Its
+sensing map is the predecessor's crop rows with its own artificial rows
+appended. Only the feedback loop passes logs, so a plain walk pays for none
+of this.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ from .rng import derive_seed, generator, mix64, mix64_array
 
 _MAX_STEP_RETRIES = 4
 _U64_SCALE = 1.0 / 2.0**64
+# (member cell, offset) entries ``build_sensing_map`` expands at once.
+_SENSING_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,13 +117,21 @@ class ScoutReport:
         )
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted, without repeats. np.unique would import numpy.ma (1 MB of RSS)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def build_sensing_map(
     grid: CellGrid, patches: list[Patch], radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)``: flat cell index -> sorted patch ids sensed there.
 
     Row ``cell`` is ``indices[indptr[cell]:indptr[cell + 1]]``, the ids of the
-    patches with a member cell within ``radius`` cells of ``cell``.
+    patches with a member cell within ``radius`` cells of ``cell``. Members
+    are expanded ``_SENSING_CHUNK`` (member, offset) entries at a time, so
+    memory follows the rows, not members times offsets.
     """
     # No offset longer than the grid's larger side lands on the grid, so the
     # cap leaves every row as it is and bounds the offsets of a huge radius.
@@ -140,15 +151,19 @@ def build_sensing_map(
         np.array([p.id for p in patches], dtype=np.int64),
         [len(p.cell_members) for p in patches],
     )
-    rr = (members[:, None] // width + offsets[:, 0]).ravel()
-    cc = (members[:, None] % width + offsets[:, 1]).ravel()
-    pids = np.repeat(owners, len(offsets))
-    inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
     stride = int(owners.max()) + 1 if owners.size else 1
     # Sorted, deduplicated (cell, id) keys order rows by cell and ids within a
-    # row. np.unique is avoided: it imports numpy.ma, about 1 MB of RSS.
-    keys = np.sort((rr[inside] * width + cc[inside]) * stride + pids[inside])
-    cells, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], stride)
+    # row. Each chunk's keys are deduplicated before they are concatenated.
+    per_chunk = max(1, _SENSING_CHUNK // len(offsets))
+    parts = [np.empty(0, dtype=np.int64)]  # so that no patches concatenate too
+    for lo in range(0, members.size, per_chunk):
+        chunk = members[lo : lo + per_chunk, None]
+        rr = (chunk // width + offsets[:, 0]).ravel()
+        cc = (chunk % width + offsets[:, 1]).ravel()
+        pids = np.repeat(owners[lo : lo + per_chunk], len(offsets))
+        inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+        parts.append(_sorted_distinct((rr[inside] * width + cc[inside]) * stride + pids[inside]))
+    cells, indices = np.divmod(_sorted_distinct(np.concatenate(parts)), stride)
     indptr = np.zeros(width * height + 1, dtype=np.int64)
     np.cumsum(np.bincount(cells, minlength=width * height), out=indptr[1:])
     return indptr, indices
@@ -189,13 +204,16 @@ class WalkLog:
     - ``cells``: (steps, n_scouts) int32, each scout's flat cell after every
       step. A resumed walk that stops before its resume step keeps the whole
       prefix, so ``steps`` can exceed the walk's own last checkpoint.
-    - ``hit_steps``, ``hit_ids``: every detection as (step, patch id).
+    - ``found_at``: int32 by patch id, the step of the patch's first
+      detection, 0 for a patch not detected.
     - ``states``: step -> (x, y, heading, target, dwell, move generator state)
       at step 0, every ``SAVE_EVERY`` steps and at the last step walked.
     - ``resumed_at``: the step the walk took over from ``base``, 0 for none.
 
     It also keeps the walk's sensing rows split into crop and artificial
-    entries and the facts a resume is checked against.
+    entries and the facts a resume is checked against. A resume starts at the
+    last state saved before a scout of ``base`` stands on a cell whose
+    artificial entries hold a moved id (its patch differs or is gone).
     """
 
     SAVE_EVERY = 16
@@ -203,14 +221,15 @@ class WalkLog:
     def __init__(self, base: WalkLog | None = None):
         self.base = base
         self.resumed_at = 0
+        self.states = {}
 
     def _begin(self, grid, patches, params, seed, obstacles):
         """Build the walk's sensing rows; take over ``base``'s prefix if it can.
 
-        Returns the rows and the resume step r. The walk equals ``base``'s
-        until the first step k at which some scout stands on a cell whose
-        artificial entries differ, or name an artificial id whose patch
-        differs, so r is the last state saved before k.
+        Returns the rows and the resume step r: the last state saved before
+        the first step at which some scout stands on a cell whose artificial
+        entries hold a moved id. Detections up to r were sensed from cells
+        holding no moved id, so their patches keep their ids.
         """
         radius = params.detection_radius
         key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell)
@@ -228,29 +247,22 @@ class WalkLog:
         )
         self.art_cells = np.repeat(np.arange(grid.width * grid.height), np.diff(art_rows[0]))
         self.art_ids = art_rows[1]
-        start = base._last_shared_state(self) if base else 0
         if base:
+            start = self.resumed_at = base._last_shared_state(self)
             self.cells = base.cells[:start]
-            shared = base.hit_steps <= start
-            self.hit_steps, self.hit_ids = base.hit_steps[shared], base.hit_ids[shared]
+            self.found_at = np.where(base.found_at <= start, base.found_at, 0)
             self.states = {s: state for s, state in base.states.items() if s <= start}
-        else:
-            self.cells = np.empty((0, params.n_scouts), dtype=np.int32)
-            self.hit_steps = np.empty(0, dtype=np.int32)
-            self.hit_ids = np.empty(0, dtype=np.int64)
-            self.states = {}
-        self.resumed_at = start
-        return append_sensing_rows(crop_rows, art_rows), start
+        return append_sensing_rows(crop_rows, art_rows), self.resumed_at
 
     def _last_shared_state(self, other: WalkLog) -> int:
         """Last saved step before ``other``'s walk can first differ from this one."""
         old = {p.id: p for p in self.art}
         new = {p.id: p for p in other.art}
-        moved = {j for j in old.keys() | new.keys() if old.get(j) != new.get(j)}
-        before = set(zip(self.art_cells.tolist(), self.art_ids.tolist()))
-        after = set(zip(other.art_cells.tolist(), other.art_ids.tolist()))
+        moved = np.zeros(max([*old, *new], default=-1) + 1, dtype=bool)
+        moved[[j for j in old.keys() | new.keys() if old.get(j) != new.get(j)]] = True
         changed = np.zeros(other.obstacles.size, dtype=bool)
-        changed[[c for c, j in before ^ after] + [c for c, j in before | after if j in moved]] = True
+        for log in (self, other):
+            changed[log.art_cells[moved[log.art_ids]]] = True
         touched = np.flatnonzero(changed[self.cells].any(axis=1))
         first = int(touched[0]) + 1 if touched.size else len(self.cells) + 1
         return max(s for s in self.states if s < first)
@@ -275,14 +287,16 @@ def _blocked(px, py, obstacle):
     return (~inside).nonzero()[0]
 
 
-def _make_report(coverage, detected, n_patches, traversable, trajectories=None) -> ScoutReport:
+def _snapshot(step, coverage, found_at, n_patches, traversable, trajectories) -> ScoutReport:
+    """The walk's report after ``step`` steps, given its coverage at that step."""
+    detected = np.flatnonzero((found_at > 0) & (found_at <= step)).tolist()
     visited = int(np.count_nonzero(coverage))
     return ScoutReport(
-        coverage=coverage,
+        coverage=coverage.copy(),
         detected_patch_ids=frozenset(detected),
         covered_area_fraction=visited / traversable if traversable else 0.0,
         detected_patch_fraction=len(detected) / n_patches if n_patches else 0.0,
-        trajectories=trajectories,
+        trajectories=trajectories[:, :step] if trajectories is not None else None,
     )
 
 
@@ -309,7 +323,8 @@ def simulate_at_checkpoints(
 
     With ``log`` the walk is recorded into it, and a log made with a base
     resumes from the base's walk: snapshots up to the resume step come from
-    the base's cells and hits, and the step loop runs on from there.
+    the base's cells and first-detection steps, and the step loop runs on
+    from there.
     """
     order = sorted(set(checkpoints))
     if order and order[0] < 0:
@@ -368,7 +383,7 @@ def simulate_at_checkpoints(
     # mix64(step)): the scout and patch terms are hashed once per walk.
     scout_hash = mix64_array(np.uint64(episode_key) ^ mix64_array(np.arange(n, dtype=np.uint64)))
     patch_hash = mix64_array(np.arange(n_ids, dtype=np.uint64))
-    found = np.zeros(n_ids, dtype=bool)
+    found_at = np.zeros(n_ids, dtype=np.int32)  # step of each id's first detection
 
     leash_cells = params.max_range / grid.cell_size
     step_len = params.step_length
@@ -378,6 +393,19 @@ def simulate_at_checkpoints(
     trajectories = (
         np.zeros((n, total_steps, 2), dtype=np.float64) if collect_trajectories else None
     )
+
+    if log is not None:
+        walked = np.empty((max(start, total_steps), n), dtype=np.int32)
+    if start:
+        walked[:start] = log.cells
+        x, y, heading, target, dwell, rng_state = (a.copy() for a in log.states[start])
+        move_rng.bit_generator.state = rng_state
+        prev_flat = log.cells[start - 1].astype(np.int64)
+        # Ids detected by the resume step are unchanged, so each is below n_ids.
+        prior = log.found_at[:n_ids]
+        found_at[: prior.size] = prior
+    elif log is not None:
+        log.states[0] = _walk_state(x, y, heading, target, dwell, move_rng)
 
     # Snapshots up to the resume step are read off the log's prefix; a fresh
     # walk has only step 0 there. Trajectory snapshots are views: the walk
@@ -389,20 +417,7 @@ def simulate_at_checkpoints(
             coverage_flat += np.bincount(log.cells[counted:s].ravel(), minlength=n_cells)
             counted = s
         if s in wanted:
-            found_by_s = set(log.hit_ids[log.hit_steps <= s].tolist()) if s else ()
-            traj0 = trajectories[:, :0] if trajectories is not None else None
-            snapshots[s] = _make_report(coverage.copy(), found_by_s, n_patches, traversable, traj0)
-    if start:
-        found[log.hit_ids] = True
-        x, y, heading, target, dwell, rng_state = (a.copy() for a in log.states[start])
-        move_rng.bit_generator.state = rng_state
-        prev_flat = log.cells[start - 1].astype(np.int64)
-    if log is not None:
-        if not start:
-            log.states[0] = _walk_state(x, y, heading, target, dwell, move_rng)
-        walked = np.empty((max(start, total_steps), n), dtype=np.int32)
-        walked[:start] = log.cells
-        hit_steps, hit_ids = [log.hit_steps], [log.hit_ids]
+            snapshots[s] = _snapshot(s, coverage, found_at, n_patches, traversable, trajectories)
 
     for step in range(start + 1, total_steps + 1):
         # Per-step draws are a fixed block (n turn noises, n x retries raw
@@ -473,10 +488,7 @@ def simulate_at_checkpoints(
             z = mix64_array(z ^ np.uint64(mix64(step)))
             hit = z.astype(np.float64) * _U64_SCALE < detect_prob[pid]
             scout, pid = scout[hit], pid[hit]
-            found[pid] = True
-            if log is not None and pid.size:
-                hit_steps.append(np.full(pid.size, step, dtype=np.int32))
-                hit_ids.append(pid)
+            found_at[pid[found_at[pid] == 0]] = step
             # An idle scout locks onto its first hit, the lowest new patch id.
             starts = np.empty(scout.size, dtype=bool)
             starts[:1] = True
@@ -495,14 +507,12 @@ def simulate_at_checkpoints(
             log.states[step] = _walk_state(x, y, heading, target, dwell, move_rng)
 
         if step in wanted:
-            traj = trajectories[:, :step] if trajectories is not None else None
-            snapshots[step] = _make_report(
-                coverage.copy(), found.nonzero()[0].tolist(), n_patches, traversable, traj
+            snapshots[step] = _snapshot(
+                step, coverage, found_at, n_patches, traversable, trajectories
             )
 
     if log is not None:
-        log.cells = walked
-        log.hit_steps, log.hit_ids = np.concatenate(hit_steps), np.concatenate(hit_ids)
+        log.cells, log.found_at = walked, found_at
     return [snapshots[s] for s in order]
 
 

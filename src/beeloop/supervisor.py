@@ -41,7 +41,7 @@ from .control import (
     propose_patches,
 )
 from .errors import ArityMismatchError, RegionSetMismatchError
-from .foraging import ColonyParams, SeasonRecord, run_season
+from .foraging import BASE_CAP_H, ColonyParams, SeasonRecord, run_season
 from .landscape import (
     CROP,
     CellGrid,
@@ -97,7 +97,7 @@ class LoopSettings:
 
     patch_params: PatchParams = PatchParams()
     scout_cadence_days: int = 7
-    base_cap_h: float = 9.0
+    base_cap_h: float = BASE_CAP_H
     fi_cap_h: float = 16.0
     region_rows: int = 8
     region_cols: int = 8

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from beeloop import scouting
 from beeloop.cli import main as cli_main
 from beeloop.errors import OutOfRangeValueError
 from beeloop.landscape import (
@@ -345,6 +347,38 @@ def test_no_patches_gives_empty_sensing_map_and_no_detections():
     for rep in simulate_at_checkpoints(grid, [], FAST, [0, 5, 40], seed=9):
         assert rep.detected_patch_ids == frozenset()
         assert rep.detected_patch_fraction == 0.0
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.8, 3.5, 6.0])
+@pytest.mark.parametrize("world", ["edge", "desk"])
+def test_chunked_sensing_map_equals_one_chunk(monkeypatch, desk_grid, desk_patches, world, radius):
+    if world == "desk":
+        grid, patches = desk_grid, desk_patches
+    else:
+        grid = parse_map(make_map(EDGE_ROWS))
+        patches = derive_patches(grid)
+    whole = build_sensing_map(grid, patches, radius)
+    # At most five (member, offset) entries per chunk: one member per chunk
+    # from radius 1 up, so every patch of more than one cell is split.
+    monkeypatch.setattr(scouting, "_SENSING_CHUNK", 5)
+    chunked = build_sensing_map(grid, patches, radius)
+    assert chunked[0].tolist() == whole[0].tolist()
+    assert chunked[1].tolist() == whole[1].tolist()
+    assert chunked[1].dtype == whole[1].dtype
+
+
+def test_sensing_map_memory_follows_rows_not_members_times_offsets(desk_grid, desk_patches):
+    """Radius 30 on desk is 1 470 member cells x 2 821 offsets. Expanded all
+    at once they peaked at 161 MiB of traced allocations; the chunked build
+    stays under a quarter of that."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        build_sensing_map(desk_grid, desk_patches, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 161 * 2**20 / 4
 
 
 def ref_write_trajectories_csv(path, trajectories):

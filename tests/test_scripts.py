@@ -57,11 +57,14 @@ def test_verify_map_exits_1_on_mismatch(monkeypatch, capsys):
     assert capsys.readouterr().err == "mismatch: union-find 245 != derive_patches 244\n"
 
 
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"
+
+
 def test_artifact_digests_repeat():
-    """Two runs of the digest matrix at one seed print the same digests."""
-    first, second = (run_script("artifact_digests.py", "--seeds", "1") for _ in range(2))
-    assert first.returncode == 0, first.stderr
-    lines = first.stdout.splitlines()
+    """One run of the digest matrix at seed 1 repeats the golden digests of its cases."""
+    result = run_script("artifact_digests.py", "--seeds", "1")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
     # five desk variants at seed 1 plus the tiling at seed 42; each case writes
     # 5 baseline files, 13 fi files and report.csv
     assert len(lines) == 6 * 19
@@ -70,10 +73,11 @@ def test_artifact_digests_repeat():
         "tiled_seed42",
     }
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
-    assert second.stdout == first.stdout
-
-
-GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"
+    golden = [
+        line for line in GOLDEN_DIGESTS.read_text(encoding="utf-8").splitlines()
+        if line.split("  ")[1].split("/")[0].endswith(("_seed1", "tiled_seed42"))
+    ]
+    assert lines == golden
 
 
 def test_artifact_digests_match_golden():

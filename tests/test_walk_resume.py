@@ -62,6 +62,33 @@ def season(cells, ctrl, seed, params=SCOUTS, log=None):
     )
 
 
+def pair_rule_resume_step(base_log, base_cells, cells, radius=SCOUTS.detection_radius):
+    """The resume step a walk on ``cells`` takes from ``base_log``'s walk.
+
+    Reference rule: the last state ``base_log`` saved before the first step at
+    which one of its scouts stands on a cell whose (cell, artificial id) pairs
+    differ between the two landscapes, or hold an artificial id whose patch
+    differs. A rule that resumes earlier is still correct, only slower, so
+    the output-equality checks alone cannot catch it.
+    """
+
+    def artificial(beacons):
+        grid, patches = landscape(beacons)
+        art = [p for p in patches if p.artificial]
+        indptr, ids = build_sensing_map(grid, art, radius)
+        cells_of = np.repeat(np.arange(grid.width * grid.height), np.diff(indptr))
+        return {p.id: p for p in art}, set(zip(cells_of.tolist(), ids.tolist()))
+
+    old, before = artificial(base_cells)
+    new, after = artificial(cells)
+    moved = {j for j in old.keys() | new.keys() if old.get(j) != new.get(j)}
+    changed = np.zeros(DESK.width * DESK.height, dtype=bool)
+    changed[[c for c, j in before ^ after] + [c for c, j in before | after if j in moved]] = True
+    touched = np.flatnonzero(changed[base_log.cells].any(axis=1))
+    first = int(touched[0]) + 1 if touched.size else len(base_log.cells) + 1
+    return max(s for s in base_log.states if s < first)
+
+
 _cells = st.lists(st.sampled_from(POOL), max_size=4, unique=True)
 # (incumbent control, candidate control); the loop's refit can also drop it.
 _controls = st.sampled_from(
@@ -88,10 +115,12 @@ def test_resumed_season_equals_full_recompute(seed, inc_cells, new_cells, extend
 
     cand_log = WalkLog(inc_log)
     assert season(cand_cells, cand_ctrl, seed, log=cand_log) == season(cand_cells, cand_ctrl, seed)
+    assert cand_log.resumed_at == pair_rule_resume_step(inc_log, inc_cells, cand_cells)
     # The candidate's log carries the incumbent's prefix; a walk resumed from
     # it must hold as well.
     again = WalkLog(cand_log)
     assert season(inc_cells, inc_ctrl, seed, log=again) == inc
+    assert again.resumed_at == pair_rule_resume_step(cand_log, cand_cells, inc_cells)
 
 
 @settings(max_examples=30, deadline=None)
