@@ -18,7 +18,7 @@ from .control import (
     write_labels_csv,
     write_proposals_csv,
 )
-from .errors import MissingArtifactsError, SimError
+from .errors import MissingArtifactsError, SimError, read_utf8
 from .foraging import run_season, write_season_csv, write_totals
 from .landscape import derive_patches, load_map, write_foodflow
 from .metrics import compare, write_comparison_csv
@@ -107,11 +107,12 @@ def _read_season_csv(path: Path, columns: list[str]) -> list[dict[str, str]]:
     """Rows of a season export, each holding an integer ``day`` and ``columns``.
 
     A missing file, a missing column, a row of the wrong width or a day that
-    is not an integer is a MissingArtifacts error.
+    is not an integer, or bytes that are not UTF-8, are a MissingArtifacts
+    error.
     """
     if not path.is_file():
         raise MissingArtifactsError(f"missing season export: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path, MissingArtifactsError).splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in ["day", *columns] if c not in header]
     if missing:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .control import CoverageLabel, PlacementPolicy, ThresholdClassifier
 from .errors import ConfigError, MapNotFoundError, OutOfRangeValueError, WeatherNotFoundError
+from .errors import read_utf8
 from .foraging import ColonyParams
 from .landscape import PatchParams
 from .scouting import ScoutParams
@@ -150,7 +151,7 @@ def load_scenario(
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values = parse_config(path.read_text(encoding="utf-8"))
+    values = parse_config(read_utf8(path, ConfigError))
     base = path.parent
 
     map_rel = values.get("scenario", {}).get("map")
@@ -209,6 +210,10 @@ def _build_scenario(values, map_path, weather_source, weather_file,
     # input paths resolve against the config; the output directory resolves
     # against the invocation directory so bundled configs stay read-only
     out_dir = Path(out_override if out_override is not None else scenario.get("out", "runs/out"))
+    # A file on the way would only stop the run at its first write.
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {out_dir} lies under the file {nearest}")
 
     return Scenario(
         map_path=map_path,
@@ -228,5 +233,5 @@ def _build_scenario(values, map_path, weather_source, weather_file,
 
 def weather_for(scenario: Scenario) -> WeatherSeries:
     if scenario.weather_source == "file":
-        return load_weather(scenario.weather_file.read_text(encoding="utf-8"))
+        return load_weather(read_utf8(scenario.weather_file, OutOfRangeValueError))
     return synth_weather(scenario.seed, scenario.climate)

@@ -14,6 +14,15 @@ class SimError(Exception):
         super().__init__(message or self.code)
 
 
+def read_utf8(path, error: type[SimError]) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise error(f"{path} is not UTF-8: byte {err.start} {err.reason}") from None
+
+
 # -- map parsing ------------------------------------------------------------
 
 class NoHiveError(SimError):

@@ -29,6 +29,7 @@ from .errors import (
     RaggedRowsError,
     UnknownSymbolError,
     ZeroRegionsError,
+    read_utf8,
 )
 
 EMPTY, CROP, OBSTACLE, HIVE, ARTIFICIAL = 0, 1, 2, 3, 4
@@ -207,8 +208,7 @@ def serialize_map(grid: CellGrid) -> str:
 
 
 def load_map(path) -> CellGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map(fh.read())
+    return parse_map(read_utf8(path, UnknownSymbolError))
 
 
 def _connected_components(mask: np.ndarray) -> list[list[int]]:

@@ -40,21 +40,21 @@ A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
 
 Resuming a walk. Because the draws never depend on what scouts sense, two
-walks with the same seed, grid obstacles, params and crop patches agree step
-for step until some scout stands on a cell whose sensing row differs between
-them. A ``WalkLog`` records a walk so that the next one can start from there:
-each scout's cell after every step ((steps, n_scouts) int32, so
-O(steps x scouts) memory), each patch's first-detection step (0 for none),
-and the full walk state (positions, headings, targets, dwell and the Philox
-generator state, which a jump cannot replace because ziggurat normals take a
-variable number of words) at step 0, every 16 steps and the last step. A
-walk given its predecessor's log finds the first step k at which a logged
-cell's artificial entries hold a moved id, one whose patch differs or exists
-in only one walk, restores the last state saved before k and runs the same
-step loop from there; checkpoints up to that state are read off the log. Its
-sensing map is the predecessor's crop rows with its own artificial rows
-appended. Only the feedback loop passes logs, so a plain walk pays for none
-of this.
+walks with the same seed, grid obstacles and params agree step for step until
+some scout stands on a cell whose sensing row differs between them. A
+``WalkLog`` records a walk so that the next one can start from there: each
+scout's cell after every step ((steps, n_scouts) int32, so O(steps x scouts)
+memory), each patch's first-detection step (0 for none), and the full walk
+state (positions, headings, targets, dwell and the Philox generator state,
+which a jump cannot replace because ziggurat normals take a variable number
+of words) at step 0, every 16 steps and the last step. One rule decides what
+a walk given its predecessor's log reuses: the moved ids, those whose patch
+differs between the two walks or exists in only one. Its sensing rows are the
+predecessor's rows with the moved ids' entries rebuilt, and it restores the
+last state saved before some logged scout stands on a cell that holds a moved
+id, then runs the same step loop from there; checkpoints up to that state are
+read off the log. Only the feedback loop passes logs, so a plain walk pays
+for none of this.
 """
 
 from __future__ import annotations
@@ -163,35 +163,15 @@ def build_sensing_map(
         pids = np.repeat(owners[lo : lo + per_chunk], len(offsets))
         inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
         parts.append(_sorted_distinct((rr[inside] * width + cc[inside]) * stride + pids[inside]))
-    cells, indices = np.divmod(_sorted_distinct(np.concatenate(parts)), stride)
-    indptr = np.zeros(width * height + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cells, minlength=width * height), out=indptr[1:])
+    return _csr(_sorted_distinct(np.concatenate(parts)), stride, width * height)
+
+
+def _csr(keys: np.ndarray, stride: int, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of sorted distinct keys ``cell * stride + id``."""
+    cells, indices = np.divmod(keys, stride)
+    indptr = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells, minlength=n_cells), out=indptr[1:])
     return indptr, indices
-
-
-def append_sensing_rows(
-    rows: tuple[np.ndarray, np.ndarray], extra: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``rows`` with each row of ``extra`` appended to the same cell's row.
-
-    When every id in ``extra`` exceeds every id in ``rows``, as artificial ids
-    follow crop ids, this is ``build_sensing_map`` over both patch lists.
-    """
-    indptr, indices = rows
-    extra_indptr, extra_indices = extra
-    if not extra_indices.size:
-        return rows
-    row_ends = np.repeat(indptr[1:], np.diff(extra_indptr))
-    return indptr + extra_indptr, np.insert(indices, row_ends, extra_indices)
-
-
-def _split_artificial(patches: list[Patch]) -> tuple[tuple[Patch, ...], tuple[Patch, ...]]:
-    """(crop, artificial) patches, or (all, ()) unless artificial ids come last."""
-    crop = tuple(p for p in patches if not p.artificial)
-    art = tuple(p for p in patches if p.artificial)
-    if crop and art and max(p.id for p in crop) >= min(p.id for p in art):
-        return tuple(patches), ()
-    return crop, art
 
 
 class WalkLog:
@@ -210,62 +190,60 @@ class WalkLog:
       at step 0, every ``SAVE_EVERY`` steps and at the last step walked.
     - ``resumed_at``: the step the walk took over from ``base``, 0 for none.
 
-    It also keeps the walk's sensing rows split into crop and artificial
-    entries and the facts a resume is checked against. A resume starts at the
-    last state saved before a scout of ``base`` stands on a cell whose
-    artificial entries hold a moved id (its patch differs or is gone).
+    It also keeps the walk's patches by id, its sensing rows and the key a
+    resume is checked against. One rule decides a resume: the moved ids,
+    those whose patch differs between ``base``'s walk and this one or exists
+    in only one. They pick both the rows rebuilt and the resume step.
     """
 
     SAVE_EVERY = 16
 
     def __init__(self, base: WalkLog | None = None):
         self.base = base
-        self.resumed_at = 0
-        self.states = {}
 
     def _begin(self, grid, patches, params, seed, obstacles):
         """Build the walk's sensing rows; take over ``base``'s prefix if it can.
 
-        Returns the rows and the resume step r: the last state saved before
-        the first step at which some scout stands on a cell whose artificial
-        entries hold a moved id. Detections up to r were sensed from cells
-        holding no moved id, so their patches keep their ids.
+        Returns the rows and the resume step r. The rows are ``base``'s
+        without the entries that hold a moved id, merged by (cell, id) with
+        the rows of this walk's moved patches. r is the last state saved
+        before a scout of ``base`` first stands on a cell that holds a moved
+        id in either walk's rows, so detections up to r hold no moved id.
         """
         radius = params.detection_radius
-        key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell)
-        crop, art = _split_artificial(patches)
+        key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell,
+               obstacles.tobytes())
         base, self.base = self.base, None  # released: logs do not chain
-        if not (
-            base is not None and base.key == key and base.crop == crop
-            and np.array_equal(base.obstacles, obstacles)
-        ):
-            base = None
-        crop_rows = base.crop_rows if base else build_sensing_map(grid, list(crop), radius)
-        art_rows = build_sensing_map(grid, list(art), radius)
-        self.key, self.obstacles, self.crop, self.art, self.crop_rows = (
-            key, obstacles, crop, art, crop_rows
-        )
-        self.art_cells = np.repeat(np.arange(grid.width * grid.height), np.diff(art_rows[0]))
-        self.art_ids = art_rows[1]
-        if base:
-            start = self.resumed_at = base._last_shared_state(self)
-            self.cells = base.cells[:start]
-            self.found_at = np.where(base.found_at <= start, base.found_at, 0)
-            self.states = {s: state for s, state in base.states.items() if s <= start}
-        return append_sensing_rows(crop_rows, art_rows), self.resumed_at
-
-    def _last_shared_state(self, other: WalkLog) -> int:
-        """Last saved step before ``other``'s walk can first differ from this one."""
-        old = {p.id: p for p in self.art}
-        new = {p.id: p for p in other.art}
-        moved = np.zeros(max([*old, *new], default=-1) + 1, dtype=bool)
-        moved[[j for j in old.keys() | new.keys() if old.get(j) != new.get(j)]] = True
-        changed = np.zeros(other.obstacles.size, dtype=bool)
-        for log in (self, other):
-            changed[log.art_cells[moved[log.art_ids]]] = True
-        touched = np.flatnonzero(changed[self.cells].any(axis=1))
-        first = int(touched[0]) + 1 if touched.size else len(self.cells) + 1
-        return max(s for s in self.states if s < first)
+        self.key, self.patches = key, {p.id: p for p in patches}
+        self.resumed_at, self.states, self.cells, self.found_at = 0, {}, None, None
+        if base is None or base.key != key:
+            self.rows = build_sensing_map(grid, patches, radius)
+            return self.rows, 0
+        # ``is`` first: a candidate shares its unchanged patches with its base,
+        # and comparing thousands of them field by field costs milliseconds.
+        old, new = base.patches, self.patches
+        moved_ids = [j for j, p in new.items() if old.get(j) is not p and old.get(j) != p]
+        moved_ids += [j for j in old if j not in new]
+        stride = max(max(old, default=0), max(new, default=0)) + 1
+        moved = np.zeros(stride, dtype=bool)
+        moved[moved_ids] = True
+        n_cells = grid.width * grid.height
+        old_cell = np.repeat(np.arange(n_cells), np.diff(base.rows[0]))
+        gone = moved[base.rows[1]]
+        add = build_sensing_map(grid, [new[j] for j in moved_ids if j in new], radius)
+        add_cell = np.repeat(np.arange(n_cells), np.diff(add[0]))
+        kept = old_cell[~gone] * stride + base.rows[1][~gone]
+        added = add_cell * stride + add[1]
+        self.rows = _csr(np.insert(kept, np.searchsorted(kept, added), added), stride, n_cells)
+        changed = np.zeros(n_cells, dtype=bool)
+        changed[old_cell[gone]] = changed[add_cell] = True
+        touched = np.flatnonzero(changed[base.cells].any(axis=1))
+        first = int(touched[0]) + 1 if touched.size else len(base.cells) + 1
+        start = self.resumed_at = max(s for s in base.states if s < first)
+        self.cells = base.cells[:start]
+        self.found_at = np.where(base.found_at <= start, base.found_at, 0)
+        self.states = {s: state for s, state in base.states.items() if s <= start}
+        return self.rows, start
 
 
 def _row_pairs(row_start, row_len, indices, cells, scouts):

@@ -15,10 +15,12 @@ a new beacon renumbers the incumbent's beacons after it in scan order, which
 re-rolls their detection draws (see ``beeloop.scouting``).
 
 Each season records its walk in a ``WalkLog``, and a candidate's walk
-resumes from the incumbent's: it reuses the incumbent's steps up to the last
-saved state before any scout stands where the new beacons (or renumbered
-ones) change what it senses, and merges its sensing map from the
-incumbent's crop rows. Outputs are the bytes a full recompute gives. The log
+resumes from the incumbent's. One rule decides what it reuses: the moved
+patch ids, those whose patch differs from the incumbent's or exists in only
+one landscape (new beacons and the beacons they renumber). The candidate
+keeps the incumbent's sensing rows with the moved ids' entries rebuilt, and
+its steps up to the last saved state before any scout stands on a cell that
+senses a moved id. Outputs are the bytes a full recompute gives. The log
 costs one int32 per scout and step, held for the baseline, the incumbent
 and the candidate, and only inside this loop.
 """
@@ -191,11 +193,13 @@ def optimize_env_control(
     break toward smaller controls, lexicographically on uplift then extra
     light, so a flat objective returns (0, 0).
 
-    One (uplift, extra, day) array pass gives every control's score with the
-    bits of ``sum(predict(model, day_features(...)) for each day)``: the
+    One (extra, day) array per uplift gives that row's scores with the bits
+    of ``sum(predict(model, day_features(...)) for each day)``: the
     harmonics come from ``math``, each prediction adds its feature terms to
     zero in coefficient order and then the intercept, and the days are
     summed left to right (``np.cumsum``, where ``np.sum`` would pair them).
+    Rows are scanned in order for the first maximum, so memory follows one
+    row. Scores may overflow to inf or nan, which compare as the loop's do.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be >= 1")
@@ -215,24 +219,21 @@ def optimize_env_control(
     temp = np.array([dw.max_temp for dw in days])
     sun = np.array([dw.sunshine_hours for dw in days])
     angle = [2.0 * math.pi * dw.day / 365.0 for dw in days]
-    features = (
-        temp + np.array(uplifts)[:, None, None],
-        np.minimum(sun + np.array(extras)[None, :, None], cap),
-        np.array([math.sin(a) for a in angle]),
-        np.array([math.cos(a) for a in angle]),
-    )
-    terms = np.zeros((len(uplifts), len(extras), len(days)))
-    for c, f in zip(model.coefficients, features):
-        terms = terms + c * f
-    predictions = model.intercept + terms
-    scores = np.cumsum(
-        np.concatenate([np.zeros(terms.shape[:2] + (1,)), predictions], axis=2), axis=2
-    )[:, :, -1].ravel().tolist()
-    best = 0
-    for i, score in enumerate(scores):
-        if score > scores[best]:
-            best = i
-    return EnvControl(uplifts[best // len(extras)], extras[best % len(extras)], window)
+    light = np.minimum(sun + np.array(extras)[:, None], cap)
+    harmonics = [np.array([f(a) for a in angle]) for f in (math.sin, math.cos)]
+    zeros = np.zeros((len(extras), 1))
+    best, top = (0, 0), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, uplift in enumerate(uplifts):
+            terms = np.zeros((len(extras), len(days)))
+            for c, f in zip(model.coefficients, (temp + uplift, light, *harmonics)):
+                terms = terms + c * f
+            predictions = model.intercept + terms
+            row = np.cumsum(np.concatenate([zeros, predictions], axis=1), axis=1)[:, -1]
+            for j, score in enumerate(row.tolist()):
+                if top is None or score > top:
+                    best, top = (i, j), score
+    return EnvControl(uplifts[best[0]], extras[best[1]], window)
 
 
 def _effective(ctrl: EnvControl) -> EnvControl | None:

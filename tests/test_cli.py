@@ -1,8 +1,10 @@
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
 
+from beeloop import cli
 from beeloop.cli import default_config_path, main
 
 
@@ -514,6 +516,75 @@ def test_zero_cadence_fails_at_load(tmp_path, capsys):
     for command in ("baseline", "fi", "train-monitor"):
         assert main([command, "--config", str(config), "--out", str(out)]) != 0
         assert_one_error(capsys, "ConfigError", out)
+
+
+def test_fi_overflowing_control_search_writes_no_warning(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=20, max_temp_uplift=1e308)
+    # Outside pytest a warning prints to stderr; here it would only be recorded.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fi", "--config", str(config), "--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+def test_out_path_through_a_file_fails_before_simulating(tmp_path, capsys, monkeypatch, sub):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run_season", no_simulation)
+    monkeypatch.setattr(cli, "run_fi_loop", no_simulation)
+    config = write_config(tmp_path, n_scouts=10)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    for command in ("baseline", "fi", "train-monitor"):
+        assert main([command, "--config", str(config), "--out", str(taken / sub)]) != 0
+        assert capsys.readouterr().err.splitlines() == ["error: ConfigError"]
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_map_not_utf8_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10)
+    path = tmp_path / "field.map"
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n\xe9" + rest[1:])
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "UnknownSymbol", out)
+
+
+def test_config_not_utf8_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10)
+    config.write_bytes(b"# caf\xe9\n" + config.read_bytes())
+    out = tmp_path / "x"
+    for command in ("baseline", "fi", "train-monitor"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "ConfigError", out)
+
+
+def test_weather_file_not_utf8_rejected(tmp_path, capsys):
+    lines = ["day,max_temp_c,sunshine_h", *(f"{d},18.0,8.0" for d in range(1, 366))]
+    data = "\n".join(lines).encode() + b"\n\xff\n"
+    (tmp_path / "weather.csv").write_bytes(data)
+    config = write_config(tmp_path, weather_block="source = file\nfile = weather.csv")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+def test_season_export_not_utf8_rejected(tmp_path, capsys):
+    write_season(tmp_path / "season_baseline.csv", SEASON_HEADER, "130,9.0,10,1.0,10,3,0.5")
+    (tmp_path / "season_fi.csv").write_bytes(SEASON_HEADER.encode() + b"\n\xff\n")
+    assert main(["report", str(tmp_path)]) != 0
+    assert_one_error(capsys, "MissingArtifacts", tmp_path / "report.csv")
+    config = write_config(tmp_path, n_scouts=10)
+    out = tmp_path / "x"
+    code = main(["train-monitor", "--config", str(config), "--out", str(out),
+                 "--season", str(tmp_path / "season_fi.csv")])
+    assert code != 0
+    assert_one_error(capsys, "MissingArtifacts", out)
 
 
 def test_step_no_scout_can_take_rejected(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,20 @@ def test_flat_objective_returns_zero_control(grid_steps, bounds):
     ctrl = optimize_env_control(*args)
     assert (ctrl.temp_uplift, ctrl.extra_light_hours) == (0.0, 0.0)
     assert ctrl == scalar_optimize(*args)
+
+
+def test_control_search_memory_follows_one_uplift_row():
+    """150 x 150 controls over the desk season. All (uplift, extra, day)
+    arrays at once peaked at 105.8 MiB of traced allocations."""
+    model = LinearModel((0.1, 2.0, -1.0, 0.5), 10.0, 0.0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        optimize_env_control(model, _WEATHER, ColonyParams().season, ControlBounds(), 150, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_loop_stops_immediately_when_tolerance_met(desk_grid):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from beeloop.cli import default_config_path
 from beeloop.foraging import ColonyParams, run_season
 from beeloop.landscape import (
+    CROP as CROP_CELL,
     EMPTY,
     OBSTACLE,
     CellGrid,
@@ -20,13 +21,7 @@ from beeloop.landscape import (
     load_map,
     with_artificial,
 )
-from beeloop.scouting import (
-    ScoutParams,
-    WalkLog,
-    append_sensing_rows,
-    build_sensing_map,
-    simulate_at_checkpoints,
-)
+from beeloop.scouting import ScoutParams, WalkLog, build_sensing_map, simulate_at_checkpoints
 from beeloop.weather import EnvControl, synth_weather
 
 DESK = load_map(default_config_path().parent / "field_desk.map")
@@ -157,19 +152,22 @@ def test_walk_log_leaves_reports_unchanged():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    cells=st.lists(st.sampled_from(POOL), max_size=6, unique=True),
+    inc_cells=st.lists(st.sampled_from(POOL), max_size=6, unique=True),
+    cand_cells=st.lists(st.sampled_from(POOL), max_size=6, unique=True),
     radius=st.sampled_from([0.5, 1.0, 1.8, 3.5, 6.0]),
 )
-def test_merged_sensing_map_equals_full_build(cells, radius):
-    grid, patches = landscape(cells)
-    art = [p for p in patches if p.artificial]
-    merged = append_sensing_rows(
-        build_sensing_map(grid, CROP, radius), build_sensing_map(grid, art, radius)
-    )
+def test_resumed_sensing_rows_equal_full_build(inc_cells, cand_cells, radius):
+    """Independent beacon sets: beacons are added, dropped and renumbered."""
+    params = ScoutParams(n_scouts=30, detection_radius=radius)
+    inc_log = WalkLog()
+    simulate_at_checkpoints(*landscape(inc_cells), params, [20], 1, log=inc_log)
+    grid, patches = landscape(cand_cells)
+    log = WalkLog(inc_log)
+    simulate_at_checkpoints(grid, patches, params, [20], 1, log=log)
     full = build_sensing_map(grid, patches, radius)
-    assert merged[0].tolist() == full[0].tolist()
-    assert merged[1].tolist() == full[1].tolist()
-    assert merged[1].dtype == full[1].dtype
+    assert log.rows[0].tolist() == full[0].tolist()
+    assert log.rows[1].tolist() == full[1].tolist()
+    assert log.rows[1].dtype == full[1].dtype
 
 
 def final_step(log):
@@ -212,6 +210,37 @@ def test_renumbered_beacon_resume_equals_full_recompute():
     # Id 246 now names (36, 34), two cells below the hive: the walks may part
     # from step 2, so nothing of the incumbent's walk is reused.
     assert log.resumed_at == 0
+
+
+def test_crop_edit_resumes_like_a_beacon_edit():
+    """Emptying the last crop cell in scan order changes one crop patch, and
+    the 500 m leash keeps every scout far from it."""
+    params = ScoutParams(n_scouts=30, max_range=500.0)
+    checkpoints = [0, 100, 216]
+    inc_log = WalkLog()
+    simulate_at_checkpoints(DESK, derive_patches(DESK), params, checkpoints, 3, log=inc_log)
+    cells = DESK.cells.copy()
+    rows, cols = np.nonzero(cells == CROP_CELL)
+    assert (cols[-1], rows[-1]) == (71, 62)
+    cells[62, 71] = EMPTY
+    grid = CellGrid(DESK.width, DESK.height, DESK.cell_size, cells)
+    patches = derive_patches(grid)
+    log = WalkLog(inc_log)
+    resumed = simulate_at_checkpoints(grid, patches, params, checkpoints, 3, log=log)
+    assert resumed == simulate_at_checkpoints(grid, patches, params, checkpoints, 3)
+    assert log.resumed_at == 216
+
+
+def test_log_recording_a_second_walk_forgets_the_first():
+    grid, patches = landscape([])
+    log = WalkLog()
+    simulate_at_checkpoints(grid, patches, SCOUTS, [100], 2, log=log)
+    simulate_at_checkpoints(grid, patches, SCOUTS, [200], 1, log=log)
+    assert sorted(log.states) == [0, *range(16, 200, 16), 200]
+    grid, patches = landscape([(24, 48)])
+    checkpoints = [0, 150, 200]
+    resumed = simulate_at_checkpoints(grid, patches, SCOUTS, checkpoints, 1, log=WalkLog(log))
+    assert resumed == simulate_at_checkpoints(grid, patches, SCOUTS, checkpoints, 1)
 
 
 def test_resume_rejects_trajectories():
