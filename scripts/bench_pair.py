@@ -50,13 +50,22 @@ def unpack(rev: str, dest: Path) -> str:
     return commit
 
 
-def bench(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``bench/run.py`` run in checkout ``root``: its closing JSON line."""
+def bench(root: Path, workload: str, seed: int, seconds: int, side: str) -> dict:
+    """One ``bench/run.py`` run in checkout ``root``: its closing JSON line.
+
+    A run that exits nonzero, as one with a failed output check does, ends
+    the script: its numbers must not feed the medians.
+    """
     result = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root, capture_output=True, text=True,
     )
+    if result.returncode != 0:
+        raise SystemExit(
+            f"bench/run.py failed (exit {result.returncode}) on workload {workload}, "
+            f"seed {seed}, side {side}:\n{result.stderr}"
+        )
     lines = result.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"bench/run.py gave no result in {root}:\n{result.stderr}")
@@ -112,7 +121,7 @@ def main() -> int:
             for i, seed in enumerate(seeds):
                 sides = [("base", base_root), ("change", ROOT)]
                 for side, root in sides if i % 2 == 0 else sides[::-1]:
-                    res = bench(root, workload, seed, args.seconds)
+                    res = bench(root, workload, seed, args.seconds, side)
                     runs[side].append(res)
                     print(f"{workload} seed {seed} {side}: "
                           f"job_s_p50 {res['metrics']['job_s_p50']['value']:.4f} "

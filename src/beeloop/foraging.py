@@ -15,7 +15,7 @@ walk rather than re-rolling it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class SeasonTotals:
 class SeasonRecord:
     days: list[DayRecord]
     totals: SeasonTotals
-    # Coverage summed over the season's refreshes; detections and fractions
-    # of the longest refresh walk.
+    # The season's one walk: coverage summed over its refreshes, detections
+    # and fractions of the longest refresh, and each refresh's knowledge.
     scout_report: ScoutReport
     coverage_by_day: dict[int, tuple[int, float]]  # day -> (found patches, covered fraction)
     # (n_scouts, steps, 2) walk of the first refresh with foraging hours, or
@@ -160,13 +160,14 @@ def run_season(
     """Simulate the season window day by day.
 
     Scouting refreshes on the first day and every cadence days after. All
-    refreshes share one walk seed, so a refresh with h hours yields the
-    h-hour prefix of the season's walk. The season's coverage sums the
-    refreshes' visit counts, and on each day the colony knows what the
-    longest prefix walked so far detected, which is every detection so far.
-    With ``collect_trajectories`` the record also carries the paths of the
-    first refresh whose day has foraging hours. ``log`` goes to the walk: it
-    records it, and resumes it from its base's walk if it has one.
+    refreshes share one walk seed, so a refresh with h hours is the h-hour
+    prefix of the season's one walk, read at each refresh's step count. The
+    walk's report sums the refreshes' visit counts, and on each day the
+    colony knows what the longest prefix walked so far detected, which is
+    every detection so far. With ``collect_trajectories`` the record also
+    carries the paths of the first refresh whose day has foraging hours.
+    ``log`` goes to the walk: it records it, and resumes it from its base's
+    walk if it has one.
     """
     if scout_cadence_days < 1:
         raise ValueError("scout_cadence_days must be >= 1")
@@ -179,41 +180,31 @@ def run_season(
     steps_by_day = {
         d: int(round(h * scout_params.steps_per_hour)) for d, h in hours_by_day.items()
     }
-    checkpoints = sorted({0, *steps_by_day.values()})
-    reports = simulate_at_checkpoints(
-        grid, patches, scout_params, checkpoints, scout_seed, collect_trajectories, log
+    refresh_steps = list(steps_by_day.values())
+    report = simulate_at_checkpoints(
+        grid, patches, scout_params, refresh_steps, scout_seed, collect_trajectories, log
     )
-    report_at = dict(zip(checkpoints, reports))
     first_refresh_paths = None
     if collect_trajectories:
         first = next((d for d in refresh_days if hours_by_day[d] > 0), None)
-        first_refresh_paths = report_at[steps_by_day.get(first, 0)].trajectories
+        first_refresh_paths = report.trajectories[:, : steps_by_day.get(first, 0)]
 
-    coverage = np.zeros((grid.height, grid.width), dtype=np.int64)
     walked = 0
     days: list[DayRecord] = []
     coverage_by_day: dict[int, tuple[int, float]] = {}
     natural = {p.id for p in patches if not p.artificial}
 
     for day in season_days:
-        if day in steps_by_day:
-            coverage += report_at[steps_by_day[day]].coverage
-            walked = max(walked, steps_by_day[day])
-        longest = report_at[walked]
-        rec = simulate_day(
-            bool(longest.detected_patch_ids), weather.day(day), ctrl, colony, day, cap_hours
-        )
-        days.append(rec)
-        coverage_by_day[day] = (
-            len(longest.detected_patch_ids & natural),
-            longest.covered_area_fraction,
-        )
+        # The first day refreshes, so ``walked`` is always a checkpoint.
+        walked = max(walked, steps_by_day.get(day, 0))
+        found, covered = report.at_checkpoint[walked]
+        days.append(simulate_day(bool(found), weather.day(day), ctrl, colony, day, cap_hours))
+        coverage_by_day[day] = (len(found & natural), covered)
 
-    scout_report = replace(report_at[walked], coverage=coverage, trajectories=None)
     return SeasonRecord(
         days=days,
-        totals=aggregate_totals(days, scout_report, patches),
-        scout_report=scout_report,
+        totals=aggregate_totals(days, report, patches),
+        scout_report=report,
         coverage_by_day=coverage_by_day,
         first_refresh_paths=first_refresh_paths,
     )

@@ -60,7 +60,7 @@ for none of this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,13 +98,17 @@ class ScoutParams:
 
 @dataclass(frozen=True)
 class ScoutReport:
-    """Aggregate of one scouting run; a season's report sums its refreshes' coverage."""
+    """One walk read at its checkpoints: ``coverage`` sums the visit counts at
+    each checkpoint as given, repeats counted; the detections and fractions
+    are the last checkpoint's; ``trajectories`` is the whole walk."""
 
     coverage: np.ndarray  # (height, width) int64 visit counts
     detected_patch_ids: frozenset[int]
     covered_area_fraction: float
     detected_patch_fraction: float
     trajectories: np.ndarray | None = None  # (n_scouts, steps, 2) cell coords
+    # checkpoint -> (detected ids, covered area fraction) after that many steps
+    at_checkpoint: dict[int, tuple[frozenset[int], float]] = field(default_factory=dict)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoutReport):
@@ -114,6 +118,7 @@ class ScoutReport:
             and self.detected_patch_ids == other.detected_patch_ids
             and self.covered_area_fraction == other.covered_area_fraction
             and self.detected_patch_fraction == other.detected_patch_fraction
+            and self.at_checkpoint == other.at_checkpoint
         )
 
 
@@ -265,17 +270,11 @@ def _blocked(px, py, obstacle):
     return (~inside).nonzero()[0]
 
 
-def _snapshot(step, coverage, found_at, n_patches, traversable, trajectories) -> ScoutReport:
-    """The walk's report after ``step`` steps, given its coverage at that step."""
+def _known(step, coverage, found_at, traversable) -> tuple[frozenset[int], float]:
+    """Detected ids and covered area fraction at ``step``, given the coverage then."""
     detected = np.flatnonzero((found_at > 0) & (found_at <= step)).tolist()
     visited = int(np.count_nonzero(coverage))
-    return ScoutReport(
-        coverage=coverage.copy(),
-        detected_patch_ids=frozenset(detected),
-        covered_area_fraction=visited / traversable if traversable else 0.0,
-        detected_patch_fraction=len(detected) / n_patches if n_patches else 0.0,
-        trajectories=trajectories[:, :step] if trajectories is not None else None,
-    )
+    return frozenset(detected), visited / traversable if traversable else 0.0
 
 
 def _walk_state(x, y, heading, target, dwell, move_rng) -> tuple:
@@ -292,28 +291,30 @@ def simulate_at_checkpoints(
     seed: int,
     collect_trajectories: bool = False,
     log: WalkLog | None = None,
-) -> list[ScoutReport]:
-    """One walk, snapshotted at each requested step count.
+) -> ScoutReport:
+    """One walk to the last checkpoint, read at each of ``checkpoints``.
 
-    The snapshot at ``s`` steps is identical to an independent run of ``s``
+    What the walk knows at ``s`` steps equals an independent run of ``s``
     steps with the same seed, which is what makes scouting monotone in
-    effort and lets a season reuse a single walk across refresh days.
+    effort and lets a season reuse a single walk across refresh days. A
+    step's visits count once for every checkpoint at or after it.
 
     With ``log`` the walk is recorded into it, and a log made with a base
-    resumes from the base's walk: snapshots up to the resume step come from
-    the base's cells and first-detection steps, and the step loop runs on
-    from there.
+    resumes from the base's walk: the steps up to the resume step are read
+    off the base's cells and first-detection steps, and the step loop runs
+    on from there.
     """
-    order = sorted(set(checkpoints))
-    if order and order[0] < 0:
+    ranked = sorted(checkpoints)
+    if ranked and ranked[0] < 0:
         raise ValueError("checkpoints must be non-negative")
     if collect_trajectories and log is not None and log.base is not None:
         raise ValueError("a resumed walk cannot collect trajectories")
-    wanted = set(order)
-    total_steps = order[-1] if order else 0
+    wanted = set(ranked)
+    total_steps = ranked[-1] if ranked else 0
+    # weight[s]: how many checkpoints step s counts in, those at or after it
+    weight = len(ranked) - np.searchsorted(ranked, np.arange(total_steps + 1))
     width, height = grid.width, grid.height
     traversable = grid.traversable_count()
-    n_patches = len(patches)
 
     move_rng = generator(seed, "move")
     episode_key = derive_seed(seed, "detect")
@@ -385,17 +386,18 @@ def simulate_at_checkpoints(
     elif log is not None:
         log.states[0] = _walk_state(x, y, heading, target, dwell, move_rng)
 
-    # Snapshots up to the resume step are read off the log's prefix; a fresh
-    # walk has only step 0 there. Trajectory snapshots are views: the walk
-    # never rewrites a past step.
-    snapshots: dict[int, ScoutReport] = {}
+    # Checkpoints up to the resume step are read off the log's prefix; a
+    # fresh walk has only step 0 there. The prefix is counted in runs
+    # between checkpoints, within which every step has the same weight.
+    known: dict[int, tuple[frozenset[int], float]] = {}
     counted = 0
-    for s in sorted({start, *(c for c in order if c <= start)}):
+    for s in sorted({min(start, total_steps), *(c for c in wanted if c <= start)}):
         if s > counted:
-            coverage_flat += np.bincount(log.cells[counted:s].ravel(), minlength=n_cells)
+            cells = log.cells[counted:s].ravel()
+            coverage_flat += weight[s] * np.bincount(cells, minlength=n_cells)
             counted = s
         if s in wanted:
-            snapshots[s] = _snapshot(s, coverage, found_at, n_patches, traversable, trajectories)
+            known[s] = _known(s, coverage, found_at, traversable)
 
     for step in range(start + 1, total_steps + 1):
         # Per-step draws are a fixed block (n turn noises, n x retries raw
@@ -443,7 +445,7 @@ def simulate_at_checkpoints(
             trajectories[:, step - 1, 1] = y
 
         flat = y.astype(np.int64) * width + x.astype(np.int64)
-        np.add.at(coverage_flat, flat, 1)
+        np.add.at(coverage_flat, flat, weight[step])
         if log is not None:
             walked[step - 1] = flat
 
@@ -485,13 +487,19 @@ def simulate_at_checkpoints(
             log.states[step] = _walk_state(x, y, heading, target, dwell, move_rng)
 
         if step in wanted:
-            snapshots[step] = _snapshot(
-                step, coverage, found_at, n_patches, traversable, trajectories
-            )
+            known[step] = _known(step, coverage, found_at, traversable)
 
     if log is not None:
         log.cells, log.found_at = walked, found_at
-    return [snapshots[s] for s in order]
+    detected, covered = known[total_steps] if ranked else (frozenset(), 0.0)
+    return ScoutReport(
+        coverage=coverage,
+        detected_patch_ids=detected,
+        covered_area_fraction=covered,
+        detected_patch_fraction=len(detected) / len(patches) if patches else 0.0,
+        trajectories=trajectories,
+        at_checkpoint=known,
+    )
 
 
 def run_scouting(
@@ -506,9 +514,7 @@ def run_scouting(
     if hours < 0:
         raise ValueError("hours must be non-negative")
     steps = int(round(hours * params.steps_per_hour))
-    return simulate_at_checkpoints(
-        grid, patches, params, [steps], seed, collect_trajectories
-    )[0]
+    return simulate_at_checkpoints(grid, patches, params, [steps], seed, collect_trajectories)
 
 
 def write_coverage_csv(path, report: ScoutReport) -> None:

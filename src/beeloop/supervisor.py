@@ -21,8 +21,8 @@ one landscape (new beacons and the beacons they renumber). The candidate
 keeps the incumbent's sensing rows with the moved ids' entries rebuilt, and
 its steps up to the last saved state before any scout stands on a cell that
 senses a moved id. Outputs are the bytes a full recompute gives. The log
-costs one int32 per scout and step, held for the baseline, the incumbent
-and the candidate, and only inside this loop.
+costs one int32 per scout and step, held for the incumbent and the
+candidate only (the baseline is the first incumbent), inside this loop.
 """
 
 from __future__ import annotations
@@ -301,12 +301,13 @@ def run_fi_loop(
         )
         return _effective(best)
 
-    baseline = cur = evaluate(grid, None, collect_trajectories)
+    cur = evaluate(grid, None, collect_trajectories)
+    baseline = cur.season
     required = required_labels(
-        grid, tiling, cfg.required_label, [f.region_id for f in baseline.features]
+        grid, tiling, cfg.required_label, [f.region_id for f in cur.features]
     )
-    best_loss = coverage_loss(baseline.labels, required)
-    ctrl_eff = choose_control(baseline)
+    best_loss = coverage_loss(cur.labels, required)
+    ctrl_eff = choose_control(cur)
     beacon = (
         settings.patch_params.artificial_detect,
         artificial_nectar(crop, settings.patch_params),
@@ -317,7 +318,7 @@ def run_fi_loop(
     for _ in range(cfg.max_iterations):
         if best_loss <= cfg.loss_tolerance:
             break
-        if settings.refit_monitor_each_iteration and cur is not baseline:
+        if settings.refit_monitor_each_iteration and steps:
             ctrl_eff = choose_control(cur)
         remaining = cfg.max_artificial_patches - len(placed)
         proposals = propose_patches(
@@ -355,7 +356,7 @@ def run_fi_loop(
         final_patches=tuple(cur.patches),
         region_labels=tuple(cur.labeled()),
     )
-    return plan, tuple(steps), baseline.season, cur.season
+    return plan, tuple(steps), baseline, cur.season
 
 
 def write_fi_plan_csv(path, plan: FiPlan) -> None:

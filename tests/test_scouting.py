@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beeloop import scouting
 from beeloop.cli import main as cli_main
@@ -74,14 +75,55 @@ def test_monotone_in_effort_and_prefix_exact(desk_grid, desk_patches):
     assert np.all(short.coverage <= long.coverage)
 
 
-def test_checkpoints_match_independent_runs(desk_grid, desk_patches):
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    checkpoints=st.lists(st.integers(0, 120) | st.sampled_from([0, 16, 40]),
+                         min_size=1, max_size=6),
+)
+@example(seed=21, checkpoints=[40, 0, 100, 40, 0])
+def test_one_walk_equals_one_checkpoint_walks(desk_grid, desk_patches, seed, checkpoints):
+    """Prefix extension: the walk read at ``s`` steps is the ``s``-step walk."""
     params = ScoutParams(n_scouts=30)
-    steps = [0, 40, 100]
-    reports = simulate_at_checkpoints(desk_grid, desk_patches, params, steps, seed=21)
-    for s, rep in zip(steps, reports):
-        hours = s / params.steps_per_hour
-        alone = run_scouting(desk_grid, desk_patches, params, hours, seed=21)
-        assert rep == alone
+    walk = simulate_at_checkpoints(
+        desk_grid, desk_patches, params, checkpoints, seed, collect_trajectories=True
+    )
+    alone = {
+        s: simulate_at_checkpoints(
+            desk_grid, desk_patches, params, [s], seed, collect_trajectories=True
+        )
+        for s in set(checkpoints)
+    }
+    assert np.array_equal(walk.coverage, sum(alone[s].coverage for s in checkpoints))
+    assert walk.at_checkpoint.keys() == alone.keys()
+    for s, rep in alone.items():
+        assert walk.at_checkpoint[s] == (rep.detected_patch_ids, rep.covered_area_fraction)
+        assert np.array_equal(walk.trajectories[:, :s], rep.trajectories)
+    last = alone[max(checkpoints)]
+    assert walk.detected_patch_ids == last.detected_patch_ids
+    assert walk.covered_area_fraction == last.covered_area_fraction
+    assert walk.detected_patch_fraction == last.detected_patch_fraction
+
+
+def test_walk_memory_does_not_grow_with_checkpoints(desk_grid, desk_patches):
+    """One walk read at 49 checkpoints holds no coverage copy per checkpoint:
+    its traced peak stays within 3 coverage arrays of a one-checkpoint walk's."""
+    params = ScoutParams(n_scouts=20)
+
+    def peak(checkpoints):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            simulate_at_checkpoints(desk_grid, desk_patches, params, checkpoints, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak([4])  # first-call allocations are not the walk's
+    many = list(range(0, 193, 4))
+    assert len(many) == 49
+    coverage_bytes = desk_grid.width * desk_grid.height * 8
+    assert peak(many) - peak([192]) < 3 * coverage_bytes
 
 
 def test_detection_soundness_against_trajectories(desk_grid, desk_patches):
@@ -152,20 +194,19 @@ def test_negative_hours_rejected(desk_grid, desk_patches):
         run_scouting(desk_grid, desk_patches, FAST, -1.0, seed=1)
 
 
-# Bit-exact pins. Each digest covers every report of one walk, in checkpoint
-# order: its coverage bytes, its sorted detected ids and its trajectory bytes.
-# They were recorded from the per-scout reference walk; a vectorized walk
-# must reproduce them byte for byte.
+# Bit-exact pins. Each digest covers the walk at each checkpoint, in order:
+# its coverage bytes, its sorted detected ids and its trajectory bytes. By
+# prefix extension that is the one-checkpoint walk of that length. They were
+# recorded from the per-scout reference walk; a vectorized walk must
+# reproduce them byte for byte.
 PIN_CHECKPOINTS = [0, 50, 120, 216]
 BEACON_CELLS = [(40, 32), (41, 32), (28, 32), (36, 36), (42, 34), (30, 27)]
 
 
 def walk_digest(grid, patches, params, seed, checkpoints=PIN_CHECKPOINTS):
     h = hashlib.sha256()
-    reports = simulate_at_checkpoints(
-        grid, patches, params, checkpoints, seed, collect_trajectories=True
-    )
-    for rep in reports:
+    for s in checkpoints:
+        rep = simulate_at_checkpoints(grid, patches, params, [s], seed, collect_trajectories=True)
         h.update(rep.coverage.tobytes())
         h.update(repr(sorted(rep.detected_patch_ids)).encode())
         h.update(np.ascontiguousarray(rep.trajectories).tobytes())
@@ -252,13 +293,14 @@ def test_walk_paths_pinned(desk_grid, desk_patches, world, seed):
 
 
 def test_checkpoint_zero_only_is_empty(desk_grid, desk_patches):
-    (rep,) = simulate_at_checkpoints(
+    rep = simulate_at_checkpoints(
         desk_grid, desk_patches, FAST, [0], seed=3, collect_trajectories=True
     )
     assert rep.coverage.shape == (desk_grid.height, desk_grid.width)
     assert not rep.coverage.any()
     assert rep.detected_patch_ids == frozenset()
     assert rep.covered_area_fraction == 0.0
+    assert rep.at_checkpoint == {0: (frozenset(), 0.0)}
     assert rep.trajectories.shape == (FAST.n_scouts, 0, 2)
 
 
@@ -284,10 +326,11 @@ def test_scout_reflected_in_place_opens_no_new_episode():
     params = ScoutParams(n_scouts=1, detection_radius=2.5)
     found = []
     for seed in range(20):
-        first, last = simulate_at_checkpoints(grid, patches, params, [1, 200], seed)
-        assert last.detected_patch_ids == first.detected_patch_ids
-        assert last.coverage[2, 2] == 200
-        found.append(bool(first.detected_patch_ids))
+        rep = simulate_at_checkpoints(grid, patches, params, [1, 200], seed)
+        first, _ = rep.at_checkpoint[1]
+        assert rep.detected_patch_ids == first
+        assert rep.coverage[2, 2] == 1 + 200  # summed over both checkpoints
+        found.append(bool(first))
     # a fresh draw per step would all but certainly detect it within 200 steps
     assert any(found) and not all(found)
 
@@ -344,9 +387,10 @@ def test_no_patches_gives_empty_sensing_map_and_no_detections():
     indptr, indices = build_sensing_map(grid, [], 3.5)
     assert indptr.tolist() == [0] * (grid.width * grid.height + 1)
     assert indices.size == 0
-    for rep in simulate_at_checkpoints(grid, [], FAST, [0, 5, 40], seed=9):
-        assert rep.detected_patch_ids == frozenset()
-        assert rep.detected_patch_fraction == 0.0
+    rep = simulate_at_checkpoints(grid, [], FAST, [0, 5, 40], seed=9)
+    assert rep.detected_patch_ids == frozenset()
+    assert rep.detected_patch_fraction == 0.0
+    assert all(found == frozenset() for found, _ in rep.at_checkpoint.values())
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.8, 3.5, 6.0])
@@ -393,17 +437,16 @@ def ref_write_trajectories_csv(path, trajectories):
 
 
 def walk_paths(grid, patches, params, seed, checkpoints):
-    return [
-        rep.trajectories
-        for rep in simulate_at_checkpoints(
-            grid, patches, params, checkpoints, seed, collect_trajectories=True
-        )
-    ]
+    """The walk's paths up to each checkpoint, sliced from one walk."""
+    rep = simulate_at_checkpoints(
+        grid, patches, params, checkpoints, seed, collect_trajectories=True
+    )
+    return [rep.trajectories[:, :s] for s in checkpoints]
 
 
 @pytest.fixture(scope="module")
 def path_cases(desk_grid, desk_patches):
-    """Walks as ``paths.csv`` gets them. A prefix snapshot is a view of the
+    """Walks as ``paths.csv`` gets them. A prefix slice is a view of the
     whole walk, so it is not contiguous; the reflection walk's scouts exhaust
     their retries and stay in place."""
     prefix, desk = walk_paths(desk_grid, desk_patches, ScoutParams(), 42, [50, 216])

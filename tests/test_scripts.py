@@ -26,6 +26,13 @@ def run_script(name: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess
     )
 
 
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_verify_map(map_path: Path) -> subprocess.CompletedProcess:
     return run_script("verify_map.py", str(map_path))
 
@@ -47,14 +54,41 @@ def test_verify_map_tiled_agrees(desk_grid, tmp_path):
 
 
 def test_verify_map_exits_1_on_mismatch(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("verify_map", SCRIPTS / "verify_map.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("verify_map.py")
     derive = module.derive_patches
     monkeypatch.setattr(module, "derive_patches", lambda grid: derive(grid)[1:])
     monkeypatch.setattr(sys, "argv", ["verify_map.py"])
     assert module.main() == 1
     assert capsys.readouterr().err == "mismatch: union-find 245 != derive_patches 244\n"
+
+
+def test_bench_pair_stops_at_a_failed_run(monkeypatch, tmp_path):
+    """A run that exits 1 with a failed output check ends the script, naming
+    the workload, seed and side, and writes no medians."""
+    module = load_script("bench_pair.py")
+    ok = '{"correct": true, "failed": 0, "metrics": {"job_s_p50": {"value": 0.5}}}'
+    bad = '{"correct": false, "failed": 1, "metrics": {"job_s_p50": {"value": 0.5}}}'
+
+    def fake_run(cmd, cwd, **kwargs):
+        failed = Path(cwd) == module.ROOT  # the working tree's side
+        return subprocess.CompletedProcess(
+            cmd, int(failed), stdout=(bad if failed else ok) + "\n",
+            stderr="check failed: fi/paths.csv\n" if failed else "",
+        )
+
+    monkeypatch.setattr(module, "unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--base", "HEAD", "--workload", "desk_case",
+        "--seeds", "11:12", "--seconds", "1", "--out", str(out),
+    ])
+    with pytest.raises(SystemExit) as stop:
+        module.main()
+    message = str(stop.value.code)
+    assert "workload desk_case, seed 11, side change" in message
+    assert "check failed: fi/paths.csv" in message
+    assert not out.exists()
 
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"

@@ -1,5 +1,8 @@
+import gc
+import inspect
 import math
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from beeloop.control import (
     classify_regions,
     extract_features,
 )
+from beeloop import supervisor
 from beeloop.errors import RegionSetMismatchError
 from beeloop.foraging import ColonyParams
 from beeloop.landscape import derive_patches, tile_regions, with_artificial
@@ -268,6 +272,29 @@ def test_loop_with_iterative_refit(desk_grid):
     losses = [s.loss for s in trace_a]
     assert losses == sorted(losses, reverse=True)
     assert final_a.totals.total_visits >= base_a.totals.total_visits
+
+
+def test_loop_releases_the_baseline_walk_log(monkeypatch, desk_grid):
+    """Only the first candidate resumes from the baseline's walk, so its log
+    is gone by the second candidate's season."""
+    run_season = supervisor.run_season
+    signature = inspect.signature(run_season)
+    logs = []
+
+    def spy(*args, **kwargs):
+        logs.append(weakref.ref(signature.bind(*args, **kwargs).arguments["log"]))
+        if len(logs) == 3:
+            gc.collect()
+            assert logs[0]() is None, "the baseline's walk log outlived the first candidate"
+        return run_season(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor, "run_season", spy)
+    cfg = UserConfig(max_artificial_patches=9, max_iterations=4)
+    plan, trace, baseline, final = run_fi_loop(
+        desk_grid, synth_weather(8), FAST_COLONY, FAST_SCOUTS,
+        ThresholdClassifier(), cfg, seed=7, settings=FAST_SETTINGS,
+    )
+    assert plan.iterations_used >= 1 and len(logs) >= 3
 
 
 def test_user_config_validation():
