@@ -7,10 +7,17 @@ runs ``bench/run.py --workload W --seed S --seconds T`` on both sides for each
 seed, one pair per seed. The side that runs first alternates from pair to
 pair, so a drift in machine speed does not favour either side. It writes the
 per-side values, median and quartiles of every end-to-end metric listed in
-``BENCHMARK.json``, and in how many pairs the working tree was better, to one
-JSON file:
+``BENCHMARK.json``, in how many pairs the working tree was better, and a
+verdict, to one JSON file:
 
     python scripts/bench_pair.py --base HEAD --seeds 1:10 --seconds 10 --out BENCH.json
+
+The verdict reads the metric's ``bound`` from ``BENCHMARK.json`` as a
+fraction of the base median, the margin. ``worse``: the working tree's median
+is worse than the base median by more than the margin. ``unresolved``: the
+base runs' interquartile range exceeds the margin, and not every working-tree
+run beats every base run. ``no_worse``: any other case. The ``worse`` and
+``unresolved`` entries are also printed to stderr.
 
 Compare only pairs taken in one session on one machine; the file records the
 machine it ran on.
@@ -75,6 +82,19 @@ def bench(root: Path, workload: str, seed: int, seconds: int, side: str) -> dict
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def verdict(base: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """``worse``, ``unresolved`` or ``no_worse`` for one metric's runs, as above."""
+    base_s = summary(base)
+    margin = bound * abs(base_s["median"])
+    shift = statistics.median(change) - base_s["median"]
+    if (shift if lower else -shift) > margin:
+        return "worse"
+    every_run_better = max(change) < min(base) if lower else min(change) > max(base)
+    if base_s["iqr"] > margin and not every_run_better:
+        return "unresolved"
+    return "no_worse"
 
 
 def seed_list(text: str) -> list[int]:
@@ -143,8 +163,15 @@ def main() -> int:
                     "change_better_pairs": sum(
                         (c < b) if lower else (c > b) for b, c in zip(base, change)
                     ),
+                    "verdict": verdict(base, change, m["bound"], lower),
                 }
             out["workloads"][workload] = entry
+            for name, result in entry["metrics"].items():
+                if result["verdict"] != "no_worse":
+                    print(f"{workload} {name}: {result['verdict']} (median "
+                          f"{result['base']['median']:.6g} -> {result['change']['median']:.6g}, "
+                          f"base IQR {result['base']['iqr']:.6g}, bound {metrics[name]['bound']})",
+                          file=sys.stderr)
     args.out.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -84,13 +84,16 @@ def fit(samples: list[MonitorSample]) -> LinearModel:
 
 
 def predict(model: LinearModel, features: tuple[float, ...]) -> float:
+    """The feature terms added to zero in coefficient order, then the intercept.
+
+    Features may be floats or arrays that broadcast together; each element
+    of an array result has the bits of the prediction from its floats.
+    """
     if len(features) != len(model.coefficients):
         raise ArityMismatchError(
             f"model has {len(model.coefficients)} features, got {len(features)}"
         )
-    return model.intercept + float(
-        sum(c * f for c, f in zip(model.coefficients, features))
-    )
+    return model.intercept + sum(c * f for c, f in zip(model.coefficients, features))
 
 
 def r_squared(model: LinearModel, samples: list[MonitorSample]) -> float:

@@ -32,9 +32,11 @@ differ from step 2.
 
 The walk is vectorized over scouts: each step is a fixed sequence of array
 operations over all of them, with no per-scout Python loop. The sensing map
-is a CSR table (cell -> sorted patch ids), so a scout's newly sensed patches
-are its current cell's row minus its previous cell's row: each entry of the
-one is compared with every entry of the other, and rows are short.
+is one sorted array of distinct keys ``cell << 32 | patch id``, so a cell's
+row, the ids sensed there, is a run of consecutive keys. A scout's newly
+sensed patches are its current cell's row minus its previous cell's row:
+each id of the one, keyed by the previous cell, is compared with every key
+of the other, and rows are short.
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
@@ -49,12 +51,13 @@ state (positions, headings, targets, dwell and the Philox generator state,
 which a jump cannot replace because ziggurat normals take a variable number
 of words) at step 0, every 16 steps and the last step. One rule decides what
 a walk given its predecessor's log reuses: the moved ids, those whose patch
-differs between the two walks or exists in only one. Its sensing rows are the
-predecessor's rows with the moved ids' entries rebuilt, and it restores the
-last state saved before some logged scout stands on a cell that holds a moved
-id, then runs the same step loop from there; checkpoints up to that state are
-read off the log. Only the feedback loop passes logs, so a plain walk pays
-for none of this.
+differs between the two walks or exists in only one. Its sensing map is the
+predecessor's keys without the moved ids' keys, with the moved patches' keys
+inserted in order. It restores the last state saved before some logged scout
+stands on a cell that holds a moved id and runs the same step loop from
+there. The steps up to that state are read off the log, each counted into
+coverage as the loop counts a walked step. Only the feedback loop passes
+logs, so a plain walk pays for none of this.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ _MAX_STEP_RETRIES = 4
 _U64_SCALE = 1.0 / 2.0**64
 # (member cell, offset) entries ``build_sensing_map`` expands at once.
 _SENSING_CHUNK = 1 << 18
+_ID_MASK = 0xFFFFFFFF  # the patch id field of a sensing key
 
 
 @dataclass(frozen=True)
@@ -128,15 +132,13 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def build_sensing_map(
-    grid: CellGrid, patches: list[Patch], radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)``: flat cell index -> sorted patch ids sensed there.
+def build_sensing_map(grid: CellGrid, patches: list[Patch], radius: float) -> np.ndarray:
+    """Sorted distinct int64 keys ``cell << 32 | id``: flat cell, patch id sensed there.
 
-    Row ``cell`` is ``indices[indptr[cell]:indptr[cell + 1]]``, the ids of the
-    patches with a member cell within ``radius`` cells of ``cell``. Members
-    are expanded ``_SENSING_CHUNK`` (member, offset) entries at a time, so
-    memory follows the rows, not members times offsets.
+    A patch is sensed on every cell within ``radius`` cells of one of its
+    members. The 32-bit id field needs fewer than 2**31 cells and fewer than
+    2**32 patch ids. Members are expanded ``_SENSING_CHUNK`` (member, offset)
+    entries at a time, so memory follows the keys, not members times offsets.
     """
     # No offset longer than the grid's larger side lands on the grid, so the
     # cap leaves every row as it is and bounds the offsets of a huge radius.
@@ -156,9 +158,7 @@ def build_sensing_map(
         np.array([p.id for p in patches], dtype=np.int64),
         [len(p.cell_members) for p in patches],
     )
-    stride = int(owners.max()) + 1 if owners.size else 1
-    # Sorted, deduplicated (cell, id) keys order rows by cell and ids within a
-    # row. Each chunk's keys are deduplicated before they are concatenated.
+    # Each chunk's keys are deduplicated before they are concatenated.
     per_chunk = max(1, _SENSING_CHUNK // len(offsets))
     parts = [np.empty(0, dtype=np.int64)]  # so that no patches concatenate too
     for lo in range(0, members.size, per_chunk):
@@ -167,16 +167,8 @@ def build_sensing_map(
         cc = (chunk % width + offsets[:, 1]).ravel()
         pids = np.repeat(owners[lo : lo + per_chunk], len(offsets))
         inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
-        parts.append(_sorted_distinct((rr[inside] * width + cc[inside]) * stride + pids[inside]))
-    return _csr(_sorted_distinct(np.concatenate(parts)), stride, width * height)
-
-
-def _csr(keys: np.ndarray, stride: int, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of sorted distinct keys ``cell * stride + id``."""
-    cells, indices = np.divmod(keys, stride)
-    indptr = np.zeros(n_cells + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cells, minlength=n_cells), out=indptr[1:])
-    return indptr, indices
+        parts.append(_sorted_distinct((rr[inside] * width + cc[inside]) << 32 | pids[inside]))
+    return _sorted_distinct(np.concatenate(parts))
 
 
 class WalkLog:
@@ -194,11 +186,13 @@ class WalkLog:
     - ``states``: step -> (x, y, heading, target, dwell, move generator state)
       at step 0, every ``SAVE_EVERY`` steps and at the last step walked.
     - ``resumed_at``: the step the walk took over from ``base``, 0 for none.
+    - ``rows``: the walk's sensing map, the sorted keys ``cell << 32 | id``
+      that ``build_sensing_map`` gives.
 
-    It also keeps the walk's patches by id, its sensing rows and the key a
-    resume is checked against. One rule decides a resume: the moved ids,
-    those whose patch differs between ``base``'s walk and this one or exists
-    in only one. They pick both the rows rebuilt and the resume step.
+    It also keeps the walk's patches by id and the key a resume is checked
+    against. One rule decides a resume: the moved ids, those whose patch
+    differs between ``base``'s walk and this one or exists in only one. They
+    pick both the keys rebuilt and the resume step.
     """
 
     SAVE_EVERY = 16
@@ -207,13 +201,13 @@ class WalkLog:
         self.base = base
 
     def _begin(self, grid, patches, params, seed, obstacles):
-        """Build the walk's sensing rows; take over ``base``'s prefix if it can.
+        """Build the walk's sensing map; take over ``base``'s prefix if it can.
 
-        Returns the rows and the resume step r. The rows are ``base``'s
-        without the entries that hold a moved id, merged by (cell, id) with
-        the rows of this walk's moved patches. r is the last state saved
-        before a scout of ``base`` first stands on a cell that holds a moved
-        id in either walk's rows, so detections up to r hold no moved id.
+        Returns the keys and the resume step r. The keys are ``base``'s
+        without those that hold a moved id, with the keys of this walk's moved
+        patches inserted in order. r is the last state saved before a scout
+        of ``base`` first stands on a cell that holds a moved id in either
+        walk's map, so detections up to r hold no moved id.
         """
         radius = params.detection_radius
         key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell,
@@ -229,19 +223,14 @@ class WalkLog:
         old, new = base.patches, self.patches
         moved_ids = [j for j, p in new.items() if old.get(j) is not p and old.get(j) != p]
         moved_ids += [j for j in old if j not in new]
-        stride = max(max(old, default=0), max(new, default=0)) + 1
-        moved = np.zeros(stride, dtype=bool)
+        moved = np.zeros(max(old.keys() | new.keys(), default=0) + 1, dtype=bool)
         moved[moved_ids] = True
-        n_cells = grid.width * grid.height
-        old_cell = np.repeat(np.arange(n_cells), np.diff(base.rows[0]))
-        gone = moved[base.rows[1]]
-        add = build_sensing_map(grid, [new[j] for j in moved_ids if j in new], radius)
-        add_cell = np.repeat(np.arange(n_cells), np.diff(add[0]))
-        kept = old_cell[~gone] * stride + base.rows[1][~gone]
-        added = add_cell * stride + add[1]
-        self.rows = _csr(np.insert(kept, np.searchsorted(kept, added), added), stride, n_cells)
-        changed = np.zeros(n_cells, dtype=bool)
-        changed[old_cell[gone]] = changed[add_cell] = True
+        gone = moved[base.rows & _ID_MASK]
+        kept = base.rows[~gone]
+        added = build_sensing_map(grid, [new[j] for j in moved_ids if j in new], radius)
+        self.rows = np.insert(kept, np.searchsorted(kept, added), added)
+        changed = np.zeros(grid.width * grid.height, dtype=bool)
+        changed[base.rows[gone] >> 32] = changed[added >> 32] = True
         touched = np.flatnonzero(changed[base.cells].any(axis=1))
         first = int(touched[0]) + 1 if touched.size else len(base.cells) + 1
         start = self.resumed_at = max(s for s in base.states if s < first)
@@ -251,13 +240,13 @@ class WalkLog:
         return self.rows, start
 
 
-def _row_pairs(row_start, row_len, indices, cells, scouts):
-    """(scout, patch id) for every entry of each scout's CSR row, in order."""
+def _row_pairs(row_start, row_len, keys, cells, scouts):
+    """(scout, patch id) for every key of each scout's row, in order."""
     counts = row_len[cells]
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     pos = np.repeat(row_start[cells] - ends + counts, counts) + np.arange(total)
-    return np.repeat(scouts, counts), indices[pos]
+    return np.repeat(scouts, counts), keys[pos] & _ID_MASK
 
 
 def _blocked(px, py, obstacle):
@@ -339,14 +328,14 @@ def simulate_at_checkpoints(
     blocked_cells = grid.obstacle_mask()
     start = 0
     if log is None:
-        indptr, indices = build_sensing_map(grid, patches, params.detection_radius)
+        keys = build_sensing_map(grid, patches, params.detection_radius)
     else:
-        (indptr, indices), start = log._begin(grid, patches, params, seed, blocked_cells)
+        keys, start = log._begin(grid, patches, params, seed, blocked_cells)
     n_cells = width * height
-    # Row n_cells is empty: the "previous cell" of every scout before step 1.
-    # It starts at indptr[n_cells], past the last entry, which is only ever
-    # read under a mask that excludes an empty row.
-    row_len = np.append(np.diff(indptr), 0)
+    # Cell ``c``'s row is keys[row_start[c]:row_start[c] + row_len[c]]. Row
+    # n_cells is empty: the "previous cell" of every scout before step 1.
+    row_len = np.bincount(keys >> 32, minlength=n_cells + 1)
+    row_start = np.cumsum(row_len) - row_len
     max_row = int(row_len.max())
     prev_flat = np.full(n, n_cells, dtype=np.int64)
 
@@ -386,16 +375,12 @@ def simulate_at_checkpoints(
     elif log is not None:
         log.states[0] = _walk_state(x, y, heading, target, dwell, move_rng)
 
-    # Checkpoints up to the resume step are read off the log's prefix; a
-    # fresh walk has only step 0 there. The prefix is counted in runs
-    # between checkpoints, within which every step has the same weight.
+    # Steps up to the resume step are read off the log's prefix and counted
+    # as the loop below counts a walked step; a fresh walk has only step 0.
     known: dict[int, tuple[frozenset[int], float]] = {}
-    counted = 0
-    for s in sorted({min(start, total_steps), *(c for c in wanted if c <= start)}):
-        if s > counted:
-            cells = log.cells[counted:s].ravel()
-            coverage_flat += weight[s] * np.bincount(cells, minlength=n_cells)
-            counted = s
+    for s in range(min(start, total_steps) + 1):
+        if s:
+            np.add.at(coverage_flat, log.cells[s - 1], weight[s])
         if s in wanted:
             known[s] = _known(s, coverage, found_at, traversable)
 
@@ -454,15 +439,15 @@ def simulate_at_checkpoints(
         # previous cell's row. Pairs run in (scout, patch id) order.
         moved = ((flat != prev_flat) & (row_len[flat] > 0)).nonzero()[0]
         if moved.size:
-            scout, pid = _row_pairs(indptr, row_len, indices, flat[moved], moved)
-            # A pair is fresh unless its id is in the scout's previous row.
-            was_start = indptr[prev_flat[scout]]
-            was_len = row_len[prev_flat[scout]]
+            scout, pid = _row_pairs(row_start, row_len, keys, flat[moved], moved)
+            # A pair is fresh unless its key, moved to the scout's previous
+            # cell, is in that cell's row. A read past the row holds another
+            # cell's key, or one of the row's own where the clip holds it.
+            prev = prev_flat[scout]
+            was_start, was_key = row_start[prev], prev << 32 | pid
             fresh = np.ones(scout.size, dtype=bool)
             for j in range(max_row):
-                # Clipping only reads past a row the mask already excludes.
-                seen = indices.take(was_start + j, mode="clip")
-                fresh &= (seen != pid) | (was_len <= j)
+                fresh &= keys.take(was_start + j, mode="clip") != was_key
             scout, pid = scout[fresh], pid[fresh]
             z = mix64_array(scout_hash[scout] ^ patch_hash[pid])
             z = mix64_array(z ^ np.uint64(mix64(step)))

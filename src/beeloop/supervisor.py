@@ -27,7 +27,6 @@ candidate only (the baseline is the first incumbent), inside this loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .control import (
     extract_features,
     propose_patches,
 )
-from .errors import ArityMismatchError, RegionSetMismatchError
+from .errors import RegionSetMismatchError
 from .foraging import BASE_CAP_H, ColonyParams, SeasonRecord, run_season
 from .landscape import (
     CROP,
@@ -56,11 +55,14 @@ from .landscape import (
     tile_regions,
     with_artificial,
 )
-from .monitor import FEATURE_NAMES, LinearModel, MonitorSample, day_features, fit
+from .monitor import FEATURE_NAMES, LinearModel, MonitorSample, day_features, fit, predict
 from .scouting import ScoutParams, WalkLog
 from .weather import EnvControl, WeatherSeries
 
 PATCHES_PER_ITERATION = 3
+# Largest accepted temperature uplift, deg C: far beyond any day's gap to the
+# 15 C foraging gate in the bundled climate, so a larger bound adds nothing.
+MAX_TEMP_UPLIFT_C = 50.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,11 @@ class ControlBounds:
     def __post_init__(self):
         if min(self.max_temp_uplift, self.max_extra_light_h) < 0:
             raise ValueError("max_temp_uplift and max_extra_light_h must be >= 0")
+        # No day's light passes the 24 h cap, so more extra light acts as 24 h.
+        if self.max_extra_light_h > 24.0:
+            raise ValueError("max_extra_light_h must be <= 24")
+        if self.max_temp_uplift > MAX_TEMP_UPLIFT_C:
+            raise ValueError(f"max_temp_uplift must be <= {MAX_TEMP_UPLIFT_C!r}")
 
 
 @dataclass(frozen=True)
@@ -194,19 +201,15 @@ def optimize_env_control(
     light, so a flat objective returns (0, 0).
 
     One (extra, day) array per uplift gives that row's scores with the bits
-    of ``sum(predict(model, day_features(...)) for each day)``: the
-    harmonics come from ``math``, each prediction adds its feature terms to
-    zero in coefficient order and then the intercept, and the days are
-    summed left to right (``np.cumsum``, where ``np.sum`` would pair them).
-    Rows are scanned in order for the first maximum, so memory follows one
-    row. Scores may overflow to inf or nan, which compare as the loop's do.
+    of ``sum(predict(model, day_features(...)) for each day)``: ``predict``
+    scores the row's feature arrays, built from the uncontrolled days'
+    features, and the days are summed left to right (``np.cumsum``, where
+    ``np.sum`` would pair them). Rows are scanned in order for the first
+    maximum, so memory follows one row. Scores may overflow to inf or nan,
+    which compare as the loop's do.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be >= 1")
-    if len(model.coefficients) != len(FEATURE_NAMES):
-        raise ArityMismatchError(
-            f"model has {len(model.coefficients)} features, got {len(FEATURE_NAMES)}"
-        )
 
     def axis(hi: float) -> list[float]:
         if grid_steps == 1 or hi == 0.0:
@@ -214,21 +217,17 @@ def optimize_env_control(
         return [hi * i / (grid_steps - 1) for i in range(grid_steps)]
 
     uplifts, extras = axis(bounds.max_temp_uplift), axis(bounds.max_extra_light_h)
-    days = [weather.day(d) for d in range(window[0], window[1] + 1)]
+    days = [day_features(weather.day(d), None, cap) for d in range(window[0], window[1] + 1)]
     # Every day lies in the control's window, so the control acts on all.
-    temp = np.array([dw.max_temp for dw in days])
-    sun = np.array([dw.sunshine_hours for dw in days])
-    angle = [2.0 * math.pi * dw.day / 365.0 for dw in days]
-    light = np.minimum(sun + np.array(extras)[:, None], cap)
-    harmonics = [np.array([f(a) for a in angle]) for f in (math.sin, math.cos)]
+    # Extra light is never negative, so a cap before it and one after it
+    # give the one cap after that ``day_features`` applies.
+    temp, light, *harmonics = np.reshape(days, (-1, len(FEATURE_NAMES))).T
+    light = np.minimum(light + np.array(extras)[:, None], cap)
     zeros = np.zeros((len(extras), 1))
     best, top = (0, 0), None
     with np.errstate(over="ignore", invalid="ignore"):
         for i, uplift in enumerate(uplifts):
-            terms = np.zeros((len(extras), len(days)))
-            for c, f in zip(model.coefficients, (temp + uplift, light, *harmonics)):
-                terms = terms + c * f
-            predictions = model.intercept + terms
+            predictions = predict(model, (temp + uplift, light, *harmonics))
             row = np.cumsum(np.concatenate([zeros, predictions], axis=1), axis=1)[:, -1]
             for j, score in enumerate(row.tolist()):
                 if top is None or score > top:

@@ -26,3 +26,11 @@ def tiled_grid(grid: CellGrid, tiles: int = 4) -> CellGrid:
     other_hives[: grid.height, : grid.width] = False
     cells[other_hives] = EMPTY
     return CellGrid(grid.width * tiles, grid.height * tiles, grid.cell_size, cells)
+
+
+def sensing_rows(keys: np.ndarray) -> dict[int, list[int]]:
+    """Cell -> patch ids, in key order, of a sensing map's ``cell << 32 | id`` keys."""
+    rows: dict[int, list[int]] = {}
+    for key in keys.tolist():
+        rows.setdefault(key >> 32, []).append(key & 0xFFFFFFFF)
+    return rows

@@ -24,7 +24,7 @@ from beeloop.scouting import (
     write_trajectories_csv,
 )
 
-from conftest import make_map, tiled_grid
+from conftest import make_map, sensing_rows, tiled_grid
 
 FAST = ScoutParams(n_scouts=20, steps_per_hour=20)
 
@@ -52,8 +52,7 @@ def test_certain_patch_next_to_hive_is_found():
     assert rep.detected_patch_ids == {patches[0].id}
     assert rep.covered_area_fraction > 0.0
     # independent re-check: some recorded position lies in the sensing zone
-    indptr, _ = build_sensing_map(grid, patches, params.detection_radius)
-    sensing = set(np.flatnonzero(np.diff(indptr)))  # cells with a non-empty row
+    sensing = set(sensing_rows(build_sensing_map(grid, patches, params.detection_radius)))
     cells = {
         int(y) * grid.width + int(x)
         for x, y in rep.trajectories.reshape(-1, 2)
@@ -355,12 +354,11 @@ def brute_sensing_rows(grid, patches, radius):
 def test_sensing_map_matches_brute_force(radius):
     grid = parse_map(make_map(EDGE_ROWS))
     patches = derive_patches(grid)
-    indptr, indices = build_sensing_map(grid, patches, radius)
+    keys = build_sensing_map(grid, patches, radius)
+    assert keys.dtype == np.int64
+    assert np.all(np.diff(keys) > 0)
     want = brute_sensing_rows(grid, patches, radius)
-    assert len(indptr) == grid.width * grid.height + 1
-    for cell in range(grid.width * grid.height):
-        row = indices[indptr[cell] : indptr[cell + 1]].tolist()
-        assert row == sorted(want.get(cell, ())), f"cell {cell}"
+    assert sensing_rows(keys) == {cell: sorted(ids) for cell, ids in want.items()}
 
 
 def test_huge_detection_radius_senses_every_patch_from_every_cell(tmp_path):
@@ -376,17 +374,17 @@ def test_huge_detection_radius_senses_every_patch_from_every_cell(tmp_path):
     assert (tmp_path / "out" / "season.csv").is_file()
     grid = parse_map(make_map(EDGE_ROWS))
     patches = derive_patches(grid)
-    indptr, indices = build_sensing_map(grid, patches, 1e300)
+    rows = sensing_rows(build_sensing_map(grid, patches, 1e300))
     every = [p.id for p in patches]
     for cell in range(grid.width * grid.height):
-        assert indices[indptr[cell] : indptr[cell + 1]].tolist() == every, f"cell {cell}"
+        assert rows.get(cell) == every, f"cell {cell}"
 
 
 def test_no_patches_gives_empty_sensing_map_and_no_detections():
     grid = parse_map(make_map(["....#", ".....", "..H..", ".....", "#...."]))
-    indptr, indices = build_sensing_map(grid, [], 3.5)
-    assert indptr.tolist() == [0] * (grid.width * grid.height + 1)
-    assert indices.size == 0
+    keys = build_sensing_map(grid, [], 3.5)
+    assert keys.size == 0
+    assert keys.dtype == np.int64
     rep = simulate_at_checkpoints(grid, [], FAST, [0, 5, 40], seed=9)
     assert rep.detected_patch_ids == frozenset()
     assert rep.detected_patch_fraction == 0.0
@@ -406,9 +404,8 @@ def test_chunked_sensing_map_equals_one_chunk(monkeypatch, desk_grid, desk_patch
     # from radius 1 up, so every patch of more than one cell is split.
     monkeypatch.setattr(scouting, "_SENSING_CHUNK", 5)
     chunked = build_sensing_map(grid, patches, radius)
-    assert chunked[0].tolist() == whole[0].tolist()
-    assert chunked[1].tolist() == whole[1].tolist()
-    assert chunked[1].dtype == whole[1].dtype
+    assert chunked.tolist() == whole.tolist()
+    assert chunked.dtype == whole.dtype
 
 
 def test_sensing_map_memory_follows_rows_not_members_times_offsets(desk_grid, desk_patches):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -89,6 +90,41 @@ def test_bench_pair_stops_at_a_failed_run(monkeypatch, tmp_path):
     assert "workload desk_case, seed 11, side change" in message
     assert "check failed: fi/paths.csv" in message
     assert not out.exists()
+
+
+def test_bench_pair_verdicts(monkeypatch, tmp_path, capsys):
+    """One metric per verdict, read against BENCHMARK.json's bounds."""
+    module = load_script("bench_pair.py")
+    runs = {  # metric -> side -> value at seeds 1..4
+        "job_s_p50": {"base": [1.0] * 4, "change": [1.5] * 4},  # 50% slower
+        # a wide base spread and a mixed change
+        "setup_s": {"base": [0.5, 1.0, 1.5, 2.0], "change": [1.0, 1.2, 1.3, 1.4]},
+        "seeds_per_min": {"base": [100.0] * 4, "change": [110.0] * 4},
+        # a wide base spread, but every change run beats every base run
+        "peak_rss_mb": {"base": [50.0, 60.0, 70.0, 80.0], "change": [40.0, 41.0, 42.0, 43.0]},
+    }
+
+    def fake_bench(root, workload, seed, seconds, side):
+        values = {name: {"value": v[side][seed - 1]} for name, v in runs.items()}
+        return {"correct": True, "failed": 0, "metrics": values}
+
+    monkeypatch.setattr(module, "unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module, "bench", fake_bench)
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--base", "HEAD", "--workload", "desk_case",
+        "--seeds", "1:4", "--seconds", "1", "--out", str(out),
+    ])
+    assert module.main() == 0
+    metrics = json.loads(out.read_text(encoding="utf-8"))["workloads"]["desk_case"]["metrics"]
+    assert {name: m["verdict"] for name, m in metrics.items()} == {
+        "job_s_p50": "worse", "setup_s": "unresolved",
+        "seeds_per_min": "no_worse", "peak_rss_mb": "no_worse",
+    }
+    flagged = [line for line in capsys.readouterr().err.splitlines() if "(median" in line]
+    assert [line.split(":")[0] for line in flagged] == [
+        "desk_case setup_s", "desk_case job_s_p50",
+    ]
 
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"

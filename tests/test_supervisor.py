@@ -2,6 +2,7 @@ import gc
 import inspect
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import pytest
@@ -184,6 +185,25 @@ def test_flat_objective_returns_zero_control(grid_steps, bounds):
     ctrl = optimize_env_control(*args)
     assert (ctrl.temp_uplift, ctrl.extra_light_hours) == (0.0, 0.0)
     assert ctrl == scalar_optimize(*args)
+
+
+def test_overflowing_control_search_warns_nothing():
+    """Scores that overflow to inf or nan warn nothing; outside pytest a
+    warning would print to stderr."""
+    model = LinearModel((1e308, 1e308, 0.0, 0.0), 1e308, 0.0)
+    args = (model, _WEATHER, ColonyParams().season, ControlBounds(), 7, 16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctrl = optimize_env_control(*args)
+    assert ctrl == scalar_optimize(*args)
+
+
+def test_control_bounds_accept_their_ceilings():
+    ControlBounds(supervisor.MAX_TEMP_UPLIFT_C, 24.0)
+    with pytest.raises(ValueError):
+        ControlBounds(max_temp_uplift=supervisor.MAX_TEMP_UPLIFT_C + 0.5)
+    with pytest.raises(ValueError):
+        ControlBounds(max_extra_light_h=24.5)
 
 
 def test_control_search_memory_follows_one_uplift_row():

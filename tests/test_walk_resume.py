@@ -24,6 +24,8 @@ from beeloop.landscape import (
 from beeloop.scouting import ScoutParams, WalkLog, build_sensing_map, simulate_at_checkpoints
 from beeloop.weather import EnvControl, synth_weather
 
+from conftest import sensing_rows
+
 DESK = load_map(default_config_path().parent / "field_desk.map")
 CROP = [p for p in derive_patches(DESK) if not p.artificial]
 WEATHER = synth_weather(1)
@@ -70,9 +72,8 @@ def pair_rule_resume_step(base_log, base_cells, cells, radius=SCOUTS.detection_r
     def artificial(beacons):
         grid, patches = landscape(beacons)
         art = [p for p in patches if p.artificial]
-        indptr, ids = build_sensing_map(grid, art, radius)
-        cells_of = np.repeat(np.arange(grid.width * grid.height), np.diff(indptr))
-        return {p.id: p for p in art}, set(zip(cells_of.tolist(), ids.tolist()))
+        rows = sensing_rows(build_sensing_map(grid, art, radius))
+        return {p.id: p for p in art}, {(c, j) for c, ids in rows.items() for j in ids}
 
     old, before = artificial(base_cells)
     new, after = artificial(cells)
@@ -165,9 +166,8 @@ def test_resumed_sensing_rows_equal_full_build(inc_cells, cand_cells, radius):
     log = WalkLog(inc_log)
     simulate_at_checkpoints(grid, patches, params, [20], 1, log=log)
     full = build_sensing_map(grid, patches, radius)
-    assert log.rows[0].tolist() == full[0].tolist()
-    assert log.rows[1].tolist() == full[1].tolist()
-    assert log.rows[1].dtype == full[1].dtype
+    assert log.rows.tolist() == full.tolist()
+    assert log.rows.dtype == full.dtype
 
 
 def final_step(log):
