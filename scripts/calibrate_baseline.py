@@ -15,7 +15,7 @@ import numpy as np
 
 from beeloop.cli import default_config_path
 from beeloop.landscape import derive_patches, load_map
-from beeloop.scouting import ScoutParams, run_scouting
+from beeloop.scouting import ScoutParams, simulate_at_checkpoints
 
 
 def main() -> None:
@@ -27,13 +27,15 @@ def main() -> None:
           f"{len(patches)} patches, {grid.traversable_count()} traversable cells")
     print(f"params: {params}")
 
+    # With one seed the 9 h walk is the prefix of the 16 h one, so one walk
+    # read at both step counts gives both.
+    steps9, steps16 = (int(round(h * params.steps_per_hour)) for h in (9.0, 16.0))
     rows = []
     t0 = time.monotonic()
     for seed in range(1, n_seeds + 1):
-        r9 = run_scouting(grid, patches, params, 9.0, seed)
-        r16 = run_scouting(grid, patches, params, 16.0, seed)
-        rows.append((seed, r9.covered_area_fraction, r9.detected_patch_fraction,
-                     r16.covered_area_fraction, r16.detected_patch_fraction))
+        walk = simulate_at_checkpoints(grid, patches, params, [steps9, steps16], seed)
+        (ids9, frac9), (ids16, frac16) = walk.at_checkpoint[steps9], walk.at_checkpoint[steps16]
+        rows.append((seed, frac9, len(ids9) / len(patches), frac16, len(ids16) / len(patches)))
         print(f"seed {seed:3d}: 9h cov {rows[-1][1]:.3f} det {rows[-1][2]:.3f}"
               f" | 16h cov {rows[-1][3]:.3f} det {rows[-1][4]:.3f}")
     cov9 = [r[1] for r in rows]

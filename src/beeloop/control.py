@@ -19,6 +19,12 @@ from .errors import ClassImbalanceError, TilingMismatchError
 from .landscape import ARTIFICIAL, CellGrid, EMPTY, RegionTiling, region_centroids_m
 from .rng import generator
 
+# The softmax trainer's fixed recipe: step size, full-batch epochs, and the
+# fewest samples of each label it trains on.
+SOFTMAX_LEARNING_RATE = 0.1
+SOFTMAX_EPOCHS = 500
+SOFTMAX_MIN_PER_CLASS = 10
+
 
 class CoverageLabel(IntEnum):
     LOW = 0
@@ -57,7 +63,6 @@ class SoftmaxClassifier:
     biases: tuple[float, float, float]
     feature_means: tuple[float, ...]
     feature_scales: tuple[float, ...]
-    train_accuracy: float = 0.0
 
     def scores(self, f: RegionFeatures) -> tuple[float, float, float]:
         z = [
@@ -145,20 +150,20 @@ def classify_regions(
 
 
 def train_softmax(
-    labeled: list[tuple[RegionFeatures, CoverageLabel]],
-    seed: int,
-    learning_rate: float = 0.1,
-    epochs: int = 500,
-    min_per_class: int = 10,
+    labeled: list[tuple[RegionFeatures, CoverageLabel]], seed: int
 ) -> SoftmaxClassifier:
-    """Batch gradient descent on the multinomial cross-entropy."""
+    """Batch gradient descent on the multinomial cross-entropy.
+
+    Runs the fixed recipe ``SOFTMAX_*``: each class needs
+    ``SOFTMAX_MIN_PER_CLASS`` samples, or ``ClassImbalanceError`` is raised.
+    """
     counts = {label: 0 for label in CoverageLabel}
     for _, label in labeled:
         counts[label] += 1
-    lacking = [label.name for label, c in counts.items() if c < min_per_class]
+    lacking = [label.name for label, c in counts.items() if c < SOFTMAX_MIN_PER_CLASS]
     if lacking:
         raise ClassImbalanceError(
-            f"classes below {min_per_class} samples: {', '.join(lacking)}"
+            f"classes below {SOFTMAX_MIN_PER_CLASS} samples: {', '.join(lacking)}"
         )
 
     X = np.array([f.vector() for f, _ in labeled])
@@ -174,23 +179,20 @@ def train_softmax(
     rng = generator(seed, "softmax-init")
     W = rng.normal(0.0, 0.01, (3, k))
     b = np.zeros(3)
-    for _ in range(epochs):
+    for _ in range(SOFTMAX_EPOCHS):
         logits = Z @ W.T + b
         logits -= logits.max(axis=1, keepdims=True)
         expz = np.exp(logits)
         probs = expz / expz.sum(axis=1, keepdims=True)
         grad = probs - onehot
-        W -= learning_rate * (grad.T @ Z) / n
-        b -= learning_rate * grad.mean(axis=0)
+        W -= SOFTMAX_LEARNING_RATE * (grad.T @ Z) / n
+        b -= SOFTMAX_LEARNING_RATE * grad.mean(axis=0)
 
-    logits = Z @ W.T + b
-    accuracy = float((logits.argmax(axis=1) == y).mean())
     return SoftmaxClassifier(
         weights=tuple(tuple(float(w) for w in row) for row in W),
         biases=tuple(float(v) for v in b),
         feature_means=tuple(float(m) for m in means),
         feature_scales=tuple(float(s) for s in scales),
-        train_accuracy=accuracy,
     )
 
 
@@ -244,7 +246,6 @@ def propose_patches(
     beacons = list(zip(artificial_cols.tolist(), artificial_rows.tolist()))
     cx_m, cy_m = (a.tolist() for a in region_centroids_m(tiling, grid))
     proposals: list[PatchProposal] = []
-    taken: set[tuple[int, int]] = set()
     for f in low:
         if len(proposals) >= k:
             break
@@ -260,7 +261,7 @@ def propose_patches(
         r = int(math.ceil(policy.search_radius))
         for row in range(max(0, int(wy) - r), min(grid.height, int(wy) + r + 1)):
             for col in range(max(0, int(wx) - r), min(grid.width, int(wx) + r + 1)):
-                if grid.cells[row, col] != EMPTY or (col, row) in taken:
+                if grid.cells[row, col] != EMPTY:
                     continue
                 d = math.hypot(col + 0.5 - wx, row + 0.5 - wy)
                 if d > policy.search_radius:
@@ -271,7 +272,6 @@ def propose_patches(
         if best is None:
             continue
         cell = best[1]
-        taken.add(cell)
         beacons.append(cell)
         proposals.append(
             PatchProposal(

@@ -37,7 +37,7 @@ class ColonyParams:
     season: tuple[int, int] = (91, 243)  # April through August
 
     def __post_init__(self):
-        if self.initial_workers < 0 or self.trips_per_forager_hour < 0:
+        if not (self.initial_workers >= 0 and self.trips_per_forager_hour >= 0):
             raise ValueError("colony sizes and rates must be non-negative")
         if self.patches_per_trip < 0:
             raise ValueError("patches_per_trip must be non-negative")
@@ -76,7 +76,6 @@ class SeasonTotals:
     detected_fraction: float  # over non-artificial patches
     covered_area_fraction: float
     natural_patch_ids: tuple[int, ...]
-    detected_patch_ids: tuple[int, ...]  # all found, including artificial
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,14 @@ def simulate_day(
 
 
 def aggregate_totals(
-    days: list[DayRecord], report: ScoutReport, patches: list[Patch]
+    days: list[DayRecord], report: ScoutReport, natural: set[int]
 ) -> SeasonTotals:
-    natural_ids = tuple(sorted(p.id for p in patches if not p.artificial))
-    natural_set = set(natural_ids)
-    detected_natural = tuple(
-        sorted(pid for pid in report.detected_patch_ids if pid in natural_set)
-    )
+    """The season's sums and means over ``days``, and its scouting totals.
+
+    ``natural`` holds the ids of the non-artificial patches; the detected
+    count and fraction are over those alone.
+    """
+    detected = len(report.detected_patch_ids & natural)
     n_days = len(days)
     return SeasonTotals(
         total_visits=sum(d.visits for d in days),
@@ -133,14 +133,11 @@ def aggregate_totals(
         mean_trips_per_sunshine_hour=(
             sum(d.trips_per_sunshine_hour for d in days) / n_days if n_days else 0.0
         ),
-        detected_patch_count=len(detected_natural),
-        natural_patch_count=len(natural_ids),
-        detected_fraction=(
-            len(detected_natural) / len(natural_ids) if natural_ids else 0.0
-        ),
+        detected_patch_count=detected,
+        natural_patch_count=len(natural),
+        detected_fraction=detected / len(natural) if natural else 0.0,
         covered_area_fraction=report.covered_area_fraction,
-        natural_patch_ids=natural_ids,
-        detected_patch_ids=tuple(sorted(report.detected_patch_ids)),
+        natural_patch_ids=tuple(sorted(natural)),
     )
 
 
@@ -203,7 +200,7 @@ def run_season(
 
     return SeasonRecord(
         days=days,
-        totals=aggregate_totals(days, report, patches),
+        totals=aggregate_totals(days, report, natural),
         scout_report=report,
         coverage_by_day=coverage_by_day,
         first_refresh_paths=first_refresh_paths,

@@ -117,8 +117,8 @@ class PatchParams:
     artificial_nectar_fraction: float = 0.1
 
     def __post_init__(self):
-        if min(self.kappa, self.nectar_per_m2, self.pollen_per_m2,
-               self.artificial_nectar_fraction) < 0:
+        if not all(v >= 0 for v in (self.kappa, self.nectar_per_m2, self.pollen_per_m2,
+                                    self.artificial_nectar_fraction)):
             raise ValueError("patch scale constants must be non-negative")
         if not (0.0 <= self.artificial_detect <= 1.0):
             raise ValueError("artificial_detect must be in [0, 1]")

@@ -92,7 +92,8 @@ class ScoutParams:
     def __post_init__(self):
         if min(self.n_scouts, self.steps_per_hour, self.dwell_steps) <= 0:
             raise ValueError("scout counts and step rates must be positive")
-        if min(self.step_length, self.max_range, self.detection_radius, self.bias_sigma) <= 0:
+        if not all(v > 0 for v in (self.step_length, self.max_range,
+                                   self.detection_radius, self.bias_sigma)):
             raise ValueError("scout distances and spreads must be positive")
         if not (math.isfinite(self.step_length) and math.isfinite(self.detection_radius)):
             raise ValueError("step_length and detection_radius must be finite")

@@ -42,7 +42,7 @@ from .control import (
     propose_patches,
 )
 from .errors import RegionSetMismatchError
-from .foraging import BASE_CAP_H, ColonyParams, SeasonRecord, run_season
+from .foraging import BASE_CAP_H, ColonyParams, SeasonRecord, SeasonTotals, run_season
 from .landscape import (
     CROP,
     CellGrid,
@@ -75,13 +75,13 @@ class UserConfig:
     w2: float = 0.5
 
     def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0 or abs(self.w1 + self.w2 - 1.0) > 1e-9:
+        if not (self.w1 >= 0 and self.w2 >= 0 and abs(self.w1 + self.w2 - 1.0) <= 1e-9):
             raise ValueError("weights must be non-negative and sum to 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.max_artificial_patches < 0:
             raise ValueError("max_artificial_patches must be >= 0")
-        if self.loss_tolerance < 0:
+        if not self.loss_tolerance >= 0:
             raise ValueError("loss_tolerance must be >= 0")
 
 
@@ -91,7 +91,7 @@ class ControlBounds:
     max_extra_light_h: float = 5.0
 
     def __post_init__(self):
-        if min(self.max_temp_uplift, self.max_extra_light_h) < 0:
+        if not (self.max_temp_uplift >= 0 and self.max_extra_light_h >= 0):
             raise ValueError("max_temp_uplift and max_extra_light_h must be >= 0")
         # No day's light passes the 24 h cap, so more extra light acts as 24 h.
         if self.max_extra_light_h > 24.0:
@@ -128,11 +128,13 @@ class LoopSettings:
 
 @dataclass(frozen=True)
 class LoopStep:
-    iteration: int
+    """One accepted iteration: its coverage loss and its season's totals.
+
+    A step's iteration number is its position in the loop's steps, from 1.
+    """
+
     loss: float
-    covered_area_fraction: float
-    detected_fraction: float
-    total_visits: int
+    totals: SeasonTotals
 
 
 @dataclass(frozen=True)
@@ -337,15 +339,7 @@ def run_fi_loop(
             break  # roll back this iteration's patches and stop
         cur, best_loss = cand, cand_loss
         placed.extend(proposals)
-        steps.append(
-            LoopStep(
-                iteration=len(steps) + 1,
-                loss=cand_loss,
-                covered_area_fraction=cand.season.totals.covered_area_fraction,
-                detected_fraction=cand.season.totals.detected_fraction,
-                total_visits=cand.season.totals.total_visits,
-            )
-        )
+        steps.append(LoopStep(cand_loss, cand.season.totals))
 
     plan = FiPlan(
         placed_patches=tuple(placed),
@@ -381,8 +375,9 @@ def write_fi_plan_csv(path, plan: FiPlan) -> None:
 def write_loop_trace_csv(path, steps: tuple[LoopStep, ...]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,loss,covered_area_frac,detected_frac,total_visits\n")
-        for s in steps:
+        for i, s in enumerate(steps, 1):
+            t = s.totals
             fh.write(
-                f"{s.iteration},{s.loss!r},{s.covered_area_fraction!r},"
-                f"{s.detected_fraction!r},{s.total_visits}\n"
+                f"{i},{s.loss!r},{t.covered_area_fraction!r},"
+                f"{t.detected_fraction!r},{t.total_visits}\n"
             )

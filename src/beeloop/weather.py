@@ -34,7 +34,7 @@ class EnvControl:
     active_window: tuple[int, int] = (1, DAYS_PER_YEAR)
 
     def __post_init__(self):
-        if self.temp_uplift < 0 or self.extra_light_hours < 0:
+        if not (self.temp_uplift >= 0 and self.extra_light_hours >= 0):
             raise ValueError("control magnitudes must be non-negative")
         # an empty window (end = start - 1) matches an empty season
         if self.active_window[0] > self.active_window[1] + 1:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -7,6 +8,11 @@ import pytest
 from beeloop.config import _SECTIONS, load_scenario
 from beeloop.control import CoverageLabel
 from beeloop.errors import ConfigError
+from beeloop.foraging import ColonyParams
+from beeloop.landscape import PatchParams
+from beeloop.scouting import ScoutParams
+from beeloop.supervisor import ControlBounds, UserConfig
+from beeloop.weather import EnvControl
 
 # (section, key) -> (value, ...) or a group of keys that only validate together,
 # and the Scenario leaves the setting must change, with their new values.
@@ -160,3 +166,18 @@ def test_repeated_key_rejected(tmp_path, text):
     path.write_text("[scenario]\nmap = field.map\n" + text, encoding="utf-8")
     with pytest.raises(ConfigError, match=r"scouting\.n_scouts set again at line \d+"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (ControlBounds, "max_temp_uplift"), (ControlBounds, "max_extra_light_h"),
+    (EnvControl, "temp_uplift"), (EnvControl, "extra_light_hours"),
+    (PatchParams, "kappa"), (PatchParams, "nectar_per_m2"), (PatchParams, "pollen_per_m2"),
+    (PatchParams, "artificial_nectar_fraction"),
+    (ScoutParams, "max_range"), (ScoutParams, "bias_sigma"),
+    (ColonyParams, "trips_per_forager_hour"),
+    (UserConfig, "w1"), (UserConfig, "w2"), (UserConfig, "loss_tolerance"),
+])
+def test_code_built_settings_reject_nan(cls, name):
+    """Settings built in code reject NaN as config files do."""
+    with pytest.raises(ValueError):
+        cls(**{name: math.nan})

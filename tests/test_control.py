@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from beeloop.control import (
     CoverageLabel,
@@ -118,7 +118,7 @@ def test_train_on_separable_data_is_perfect():
     mid = [(feat(i + 20, coverage=0.5, density=2.0), CoverageLabel.NORMAL) for i in range(20)]
     high = [(feat(i + 40, coverage=0.97, density=6.0), CoverageLabel.HIGH) for i in range(20)]
     clf = train_softmax(low + mid + high, seed=1)
-    assert clf.train_accuracy == 1.0
+    assert all(classify(clf, f) == label for f, label in low + mid + high)
 
 
 def test_train_matches_threshold_rule_on_heldout():
@@ -189,6 +189,37 @@ def test_propose_deterministic_and_legal(desk_grid):
     again = propose_patches(labeled, tiling, updated, 10, BEACON)
     occupied = {p.cell for p in a}
     assert all(p.cell not in occupied for p in again)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    low=st.dictionaries(st.integers(0, 63), st.floats(0.0, 1.0), max_size=64),
+    k=st.integers(0, 64),
+    fraction=st.floats(0.0, 1.0),
+    radius=st.floats(0.0, 10.0),
+    picks=st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_propose_distinct_empty_cells_within_budget(desk_grid, low, k, fraction, radius, picks):
+    """Proposals take distinct empty cells for distinct regions, at most ``k``,
+    whatever the Low regions, the policy and the beacons placed beforehand."""
+    tiling = tile_regions(desk_grid, 8, 8)
+    empty_rows, empty_cols = np.nonzero(desk_grid.cells == EMPTY)
+    n = empty_rows.size
+    placed = {(int(empty_cols[i % n]), int(empty_rows[i % n])) for i in picks}
+    grid = with_artificial(desk_grid, sorted(placed))
+    labeled = [
+        (feat(r, coverage=low.get(r, 0.5), dist=100.0 * r),
+         CoverageLabel.LOW if r in low else CoverageLabel.NORMAL)
+        for r in range(64)
+    ]
+    proposals = propose_patches(
+        labeled, tiling, grid, k, BEACON, PlacementPolicy(fraction, radius)
+    )
+    cells = [p.cell for p in proposals]
+    assert len(set(cells)) == len(cells)
+    assert len({p.region_id for p in proposals}) == len(proposals)
+    assert all(grid.cells[row, col] == EMPTY for col, row in cells)
+    assert len(proposals) <= k
 
 
 def test_classify_regions_maps_ids():

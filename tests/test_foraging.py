@@ -188,7 +188,7 @@ def test_season_scouting_matches_independent_fold(season, cadence):
         frac = np.count_nonzero(coverage) / grid.traversable_count()
         assert record.coverage_by_day[day] == (len(known & natural), frac)
     assert np.array_equal(record.scout_report.coverage, coverage)
-    assert record.totals.detected_patch_ids == tuple(sorted(known))
+    assert record.scout_report.detected_patch_ids == known
 
 
 def test_warmer_sunnier_year_never_loses_trips():

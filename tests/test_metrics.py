@@ -32,7 +32,6 @@ def record(detected_fraction=0.3, total_visits=1000, natural_ids=(0, 1, 2, 3),
         detected_fraction=detected_fraction,
         covered_area_fraction=covered,
         natural_patch_ids=tuple(natural_ids),
-        detected_patch_ids=tuple(detected_ids),
     )
     report = ScoutReport(
         coverage=np.zeros((2, 2), dtype=np.int64),
