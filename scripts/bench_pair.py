@@ -7,8 +7,8 @@ runs ``bench/run.py --workload W --seed S --seconds T`` on both sides for each
 seed, one pair per seed. The side that runs first alternates from pair to
 pair, so a drift in machine speed does not favour either side. It writes the
 per-side values, median and quartiles of every end-to-end metric listed in
-``BENCHMARK.json``, in how many pairs the working tree was better, and a
-verdict, to one JSON file:
+``BENCHMARK.json``, in how many pairs the working tree was better, the median
+of the per-pair working-tree/base ratios, and a verdict, to one JSON file:
 
     python scripts/bench_pair.py --base HEAD --seeds 1:10 --seconds 10 --out BENCH.json
 
@@ -19,8 +19,10 @@ base runs' interquartile range exceeds the margin, and not every working-tree
 run beats every base run. ``no_worse``: any other case. The ``worse`` and
 ``unresolved`` entries are also printed to stderr.
 
-Compare only pairs taken in one session on one machine; the file records the
-machine it ran on.
+The two runs of a pair follow each other, so their ratio cancels a drift in
+machine speed between pairs, which the median of each side does not. Compare
+only pairs taken in one session on one machine; the file records the machine
+it ran on.
 """
 
 from __future__ import annotations
@@ -162,6 +164,9 @@ def main() -> int:
                     "change": summary(change),
                     "change_better_pairs": sum(
                         (c < b) if lower else (c > b) for b, c in zip(base, change)
+                    ),
+                    "pair_ratio_median": statistics.median(
+                        c / b for b, c in zip(base, change)
                     ),
                     "verdict": verdict(base, change, m["bound"], lower),
                 }

@@ -23,6 +23,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
 def mix64(z: int) -> int:
@@ -34,11 +36,17 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """`mix64` over a ``uint64`` array; wrapping multiply makes it exact."""
+    """`mix64` over a ``uint64`` array; wrapping multiply makes it exact.
+
+    The stages run in place on one new array, so ``z`` itself is never written."""
     z = np.asarray(z, dtype=np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    out = z >> _U30
+    out ^= z
+    out *= _U_MIX_A
+    out ^= out >> _U27
+    out *= _U_MIX_B
+    out ^= out >> _U31
+    return out
 
 
 def _token_hash(token: int | str) -> int:

@@ -31,12 +31,25 @@ to one at (36, 34) moves the old one from id 245 to 246, and the walks
 differ from step 2.
 
 The walk is vectorized over scouts: each step is a fixed sequence of array
-operations over all of them, with no per-scout Python loop. The sensing map
-is one sorted array of distinct keys ``cell << 32 | patch id``, so a cell's
-row, the ids sensed there, is a run of consecutive keys. A scout's newly
-sensed patches are its current cell's row minus its previous cell's row:
-each id of the one, keyed by the previous cell, is compared with every key
-of the other, and rows are short.
+operations over all of them, with no per-scout Python loop. Three rules keep
+each scout's costlier work to the scouts whose outputs it can change:
+
+- Leash. A scout is beyond the leash where ``hypot(dx, dy) > leash``. Its
+  squared distance decides against ``leash**2`` with a 2**-40 relative
+  margin, and hypot runs only for the scouts inside the margin, so the rule
+  stays exact, also where ``leash**2`` underflows, overflows or is inf.
+- Episodes. The sensing map is one sorted array of distinct keys
+  ``cell << 32 | patch id``, so a cell's row, the ids sensed there, is a run
+  of consecutive keys. A scout's newly sensed patches are its current cell's
+  row minus its previous cell's row. A cell's signature is the id of a
+  one-id row, else a value unique to the cell, and only a scout whose
+  signature changed onto a non-empty row can sense a new patch. For those
+  scouts each id of the current row, keyed by the previous cell, is compared
+  with every key of the previous row; rows are short.
+- Retries. All retries of every blocked scout are tested in one pass against
+  the obstacle mask padded with a one-cell blocked border, and each scout
+  takes its first open one. A scout with none open reflects: it stays put
+  and faces its last retry turned by pi.
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
@@ -92,13 +105,14 @@ class ScoutParams:
     def __post_init__(self):
         if min(self.n_scouts, self.steps_per_hour, self.dwell_steps) <= 0:
             raise ValueError("scout counts and step rates must be positive")
-        if not all(v > 0 for v in (self.step_length, self.max_range,
-                                   self.detection_radius, self.bias_sigma)):
-            raise ValueError("scout distances and spreads must be positive")
+        if self.dwell_steps >= 1 << 63:
+            raise ValueError("dwell_steps must fit the int64 dwell counter")
+        if not all(v > 0 for v in (self.step_length, self.max_range, self.detection_radius)):
+            raise ValueError("scout distances must be positive")
         if not (math.isfinite(self.step_length) and math.isfinite(self.detection_radius)):
             raise ValueError("step_length and detection_radius must be finite")
-        if not (0.0 < self.turn_sigma <= math.pi):
-            raise ValueError("turn_sigma must be in (0, pi]")
+        if not (0.0 < self.turn_sigma <= math.pi and 0.0 < self.bias_sigma <= math.pi):
+            raise ValueError("turn_sigma and bias_sigma must be in (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -241,23 +255,103 @@ class WalkLog:
         return self.rows, start
 
 
-def _row_pairs(row_start, row_len, keys, cells, scouts):
-    """(scout, patch id) for every key of each scout's row, in order."""
-    counts = row_len[cells]
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    pos = np.repeat(row_start[cells] - ends + counts, counts) + np.arange(total)
-    return np.repeat(scouts, counts), keys[pos] & _ID_MASK
+class _Rows:
+    """A sensing map read by cell: cell c's row, the ids sensed there, is
+    ``keys[start[c]:start[c] + length[c]]``. Cell ``n_cells`` has an empty
+    row: the "previous cell" of every scout before step 1.
+
+    A cell's signature is the id of a one-id row, else a value above every id
+    that is unique to the cell. A scout can newly sense a patch only where its
+    signature changes onto a non-empty row.
+    """
+
+    def __init__(self, keys: np.ndarray, n_cells: int):
+        self.keys = keys
+        self.length = np.bincount(keys >> 32, minlength=n_cells + 1)
+        self.start = np.cumsum(self.length) - self.length
+        self.widest = int(self.length.max())
+        self.signature = np.arange(n_cells + 1, dtype=np.int64) + (1 << 32)
+        single = (self.length == 1).nonzero()[0]
+        self.signature[single] = keys[self.start[single]] & _ID_MASK
+
+    def fresh(self, flat, prev_flat):
+        """(scout, patch id) for each id of a scout's row at ``flat`` missing
+        from its row at ``prev_flat``, in (scout, id) order."""
+        moved = (self.signature[flat] != self.signature[prev_flat]).nonzero()[0]
+        counts = self.length[flat[moved]]
+        moved, counts = moved[counts > 0], counts[counts > 0]
+        if not moved.size:
+            return moved, moved
+        ends = np.cumsum(counts)
+        pos = np.repeat(self.start[flat[moved]] - ends + counts, counts) + np.arange(ends[-1])
+        scout, pid = np.repeat(moved, counts), self.keys[pos] & _ID_MASK
+        # A pair is fresh unless its key, moved to the scout's previous cell,
+        # is in that cell's row. A read past the row holds another cell's
+        # key, or one of the row's own where the clip holds it.
+        prev = prev_flat[scout]
+        was_start, was_key = self.start[prev], prev << 32 | pid
+        fresh = np.ones(scout.size, dtype=bool)
+        for j in range(self.widest):
+            fresh &= self.keys.take(was_start + j, mode="clip") != was_key
+        return scout[fresh], pid[fresh]
 
 
-def _blocked(px, py, obstacle):
-    """Indices of the points ``(px, py)`` off the grid or in an obstacle cell."""
-    height, width = obstacle.shape
-    inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-    ii = inside.nonzero()[0]
-    cell = py[ii].astype(np.int64) * width + px[ii].astype(np.int64)
-    inside[ii[obstacle.ravel()[cell]]] = False
-    return (~inside).nonzero()[0]
+def _beyond_leash(dx, dy, leash):
+    """``np.hypot(dx, dy) > leash`` for finite offsets, with hypot only near the circle.
+
+    The squared distance decides wherever it lies more than a 2**-40 relative
+    margin from ``leash**2``: the squares, their sum and hypot err by a few
+    ulps, far inside it. Where ``leash**2`` leaves [2**-1000, 2**1000],
+    underflow or overflow could eat the margin, so a fixed bound decides only
+    the side that stays clear of the circle and hypot the rest.
+    """
+    square = leash * leash
+    if square > 2.0**1000:  # a leash past 2**500: within it below 2**999
+        lo, hi = 2.0**999, math.inf
+    elif square < 2.0**-1000:  # a leash under 2**-500: beyond it above 2**-999
+        lo, hi = -math.inf, 2.0**-999
+    else:
+        lo, hi = square * (1.0 - 2.0**-40), square * (1.0 + 2.0**-40)
+    d2 = dx * dx
+    d2 += dy * dy
+    beyond = d2 > lo
+    if beyond.any():
+        near = (beyond & (d2 <= hi)).nonzero()[0]
+        beyond[near] = np.hypot(dx[near], dy[near]) > leash
+    return beyond
+
+
+def _blocked(px, py, walls):
+    """Mask of the points ``(px, py)`` off the grid or in an obstacle cell.
+
+    ``walls`` is the obstacle mask padded with a one-cell blocked border, so
+    a point off the grid clips onto the border.
+    """
+    rows, cols = walls.shape
+    cell = np.clip(np.floor(py), -1.0, rows - 2)
+    cell *= cols
+    cell += np.clip(np.floor(px), -1.0, cols - 2)
+    cell += cols + 1  # grid cell (r, c) is padded cell (r + 1, c + 1)
+    return walls.ravel().take(cell.astype(np.intp))
+
+
+def _retry(x, y, words, step_len, walls):
+    """Heading and position of blocked scouts at ``(x, y)`` after their retries.
+
+    Retry k of a scout heads ``uniform(0, 2 pi)`` from its raw word
+    ``words[:, k]``, as numpy converts it. All retries are tested in one pass
+    and each scout takes its first open one. A scout with none open stays put
+    and reflects: it faces its last retry turned by pi.
+    """
+    turn = (words >> np.uint64(11)) * 2.0**-53 * (2.0 * math.pi)
+    px = x[:, None] + step_len * np.cos(turn)
+    py = y[:, None] + step_len * np.sin(turn)
+    open_ = ~_blocked(px, py, walls)
+    first = open_.argmax(axis=1)
+    scouts = np.arange(first.size)
+    ok = open_[scouts, first]
+    heading = np.where(ok, turn[scouts, first], turn[:, -1] + math.pi)
+    return heading, np.where(ok, px[scouts, first], x), np.where(ok, py[scouts, first], y)
 
 
 def _known(step, coverage, found_at, traversable) -> tuple[frozenset[int], float]:
@@ -327,18 +421,14 @@ def simulate_at_checkpoints(
     dwell = np.zeros(n, dtype=np.int64)
 
     blocked_cells = grid.obstacle_mask()
+    walls = np.pad(blocked_cells, 1, constant_values=True)
     start = 0
     if log is None:
         keys = build_sensing_map(grid, patches, params.detection_radius)
     else:
         keys, start = log._begin(grid, patches, params, seed, blocked_cells)
-    n_cells = width * height
-    # Cell ``c``'s row is keys[row_start[c]:row_start[c] + row_len[c]]. Row
-    # n_cells is empty: the "previous cell" of every scout before step 1.
-    row_len = np.bincount(keys >> 32, minlength=n_cells + 1)
-    row_start = np.cumsum(row_len) - row_len
-    max_row = int(row_len.max())
-    prev_flat = np.full(n, n_cells, dtype=np.int64)
+    rows = _Rows(keys, width * height)
+    prev_flat = np.full(n, width * height, dtype=np.int64)
 
     # Per-patch lookups indexed by patch id.
     ids = np.array([p.id for p in patches], dtype=np.int64)
@@ -392,39 +482,28 @@ def simulate_at_checkpoints(
         retry_words = move_rng.bit_generator.random_raw((n, _MAX_STEP_RETRIES))
 
         # Base heading: leash overrides attraction overrides persistence.
-        leashed = np.hypot(x - x0, y - y0) > leash_cells
-        attracted = (target >= 0) & ~leashed
-        sigma = np.where(attracted, params.bias_sigma, params.turn_sigma)
+        leashed = _beyond_leash(x - x0, y - y0, leash_cells)
+        attracted = target >= 0
+        turn = turn_noise * params.turn_sigma
         if leashed.any():
             idx = leashed.nonzero()[0]
             heading[idx] = np.arctan2(y0 - y[idx], x0 - x[idx])
-        if attracted.any():
-            idx = attracted.nonzero()[0]
+            attracted[idx] = False
+        idx = attracted.nonzero()[0]
+        if idx.size:
             t = target[idx]
             heading[idx] = np.arctan2(centroid_y[t] - y[idx], centroid_x[t] - x[idx])
-        sigma *= turn_noise
-        heading += sigma
+            turn[idx] = turn_noise[idx] * params.bias_sigma
+        heading += turn
 
-        # Step proposal. Blocked scouts re-sample a direction (bounded
-        # retries) and only they are rechecked; what stays blocked reflects.
+        # Step proposal; blocked scouts retry, and what stays blocked reflects.
         prop_x = x + step_len * np.cos(heading)
         prop_y = y + step_len * np.sin(heading)
-        idx = _blocked(prop_x, prop_y, blocked_cells)
-        for attempt in range(_MAX_STEP_RETRIES):
-            if not idx.size:
-                break
-            # uniform(0, 2 pi) from the scout's raw word, as numpy converts it.
-            turn = (retry_words[idx, attempt] >> np.uint64(11)) * 2.0**-53 * (2.0 * math.pi)
-            heading[idx] = turn
-            px = x[idx] + step_len * np.cos(turn)
-            py = y[idx] + step_len * np.sin(turn)
-            prop_x[idx] = px
-            prop_y[idx] = py
-            idx = idx[_blocked(px, py, blocked_cells)]
+        idx = _blocked(prop_x, prop_y, walls).nonzero()[0]
         if idx.size:
-            heading[idx] += math.pi
-            prop_x[idx] = x[idx]
-            prop_y[idx] = y[idx]
+            heading[idx], prop_x[idx], prop_y[idx] = _retry(
+                x[idx], y[idx], retry_words[idx], step_len, walls
+            )
         x, y = prop_x, prop_y
         if trajectories is not None:
             trajectories[:, step - 1, 0] = x
@@ -437,19 +516,9 @@ def simulate_at_checkpoints(
 
         # Encounter episodes: one hashed draw per newly sensed (scout, patch)
         # pair, i.e. an entry of the current cell's row missing from the
-        # previous cell's row. Pairs run in (scout, patch id) order.
-        moved = ((flat != prev_flat) & (row_len[flat] > 0)).nonzero()[0]
-        if moved.size:
-            scout, pid = _row_pairs(row_start, row_len, keys, flat[moved], moved)
-            # A pair is fresh unless its key, moved to the scout's previous
-            # cell, is in that cell's row. A read past the row holds another
-            # cell's key, or one of the row's own where the clip holds it.
-            prev = prev_flat[scout]
-            was_start, was_key = row_start[prev], prev << 32 | pid
-            fresh = np.ones(scout.size, dtype=bool)
-            for j in range(max_row):
-                fresh &= keys.take(was_start + j, mode="clip") != was_key
-            scout, pid = scout[fresh], pid[fresh]
+        # previous cell's row.
+        scout, pid = rows.fresh(flat, prev_flat)
+        if scout.size:
             z = mix64_array(scout_hash[scout] ^ patch_hash[pid])
             z = mix64_array(z ^ np.uint64(mix64(step)))
             hit = z.astype(np.float64) * _U64_SCALE < detect_prob[pid]

@@ -327,6 +327,8 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
         "[scouting]\nstep_length = inf",
         "[scouting]\ndetection_radius = inf",
         "[scouting]\nmax_range_m = inf",
+        "[scouting]\nbias_sigma = 1e308",
+        "[scouting]\ndwell_steps = 99999999999999999999",
         "[landscape]\nkappa = -1",
         "[landscape]\nnectar_per_m2 = inf",
         "[landscape]\nnectar_per_m2 = -1",
@@ -346,7 +348,8 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
         {"max_extra_light_h": 24.5},
     ],
     ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights",
-         "inf_step", "inf_radius", "inf_range", "negative_kappa", "inf_nectar",
+         "inf_step", "inf_radius", "inf_range", "huge_bias_sigma", "huge_dwell",
+         "negative_kappa", "inf_nectar",
          "negative_nectar", "negative_nectar_fraction", "detect_above_1",
          "retired_reference_distance", "inf_trip_rate", "huge_trip_rate", "inf_search_radius",
          "negative_search_radius",

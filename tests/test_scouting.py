@@ -188,6 +188,24 @@ def test_scout_params_validation():
         ScoutParams(step_length=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("bias_sigma", math.inf), ("bias_sigma", 1e308), ("bias_sigma", 4.0), ("bias_sigma", 0.0),
+    ("dwell_steps", 2**63), ("dwell_steps", 99999999999999999999),
+])
+def test_scout_params_reject_unbounded_bias_and_dwell(name, value):
+    with pytest.raises(ValueError):
+        ScoutParams(**{name: value})
+
+
+def test_largest_bias_and_dwell_walk(desk_grid, desk_patches):
+    """The bounds themselves are accepted, and attracted scouts walk on them."""
+    params = ScoutParams(n_scouts=20, bias_sigma=math.pi, dwell_steps=2**63 - 1)
+    rep = simulate_at_checkpoints(desk_grid, desk_patches, params, [60], seed=1,
+                                  collect_trajectories=True)
+    assert rep.detected_patch_ids
+    assert np.isfinite(rep.trajectories).all()
+
+
 def test_negative_hours_rejected(desk_grid, desk_patches):
     with pytest.raises(ValueError):
         run_scouting(desk_grid, desk_patches, FAST, -1.0, seed=1)
@@ -291,6 +309,26 @@ def test_walk_paths_pinned(desk_grid, desk_patches, world, seed):
     assert digest == PINNED_PATHS[world, seed]
 
 
+# One walk of the 10 000-bee desk colony, one scout per bee, read at
+# PIN_CHECKPOINTS: its coverage bytes and ``at_checkpoint``. Trajectories are
+# left out (35 MB a walk). Recorded before the step loop's leash, episode
+# filter and retries were rewritten.
+PINNED_COLONY = {
+    1: "dee1dc4248c424ad303b9730756280d8deedd45724514fda5e5b963ee1200908",
+    42: "6e6ab1dd736f87d748ef69d5158f69cae841d777c044ddebe6f60e7e8903987d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_COLONY))
+def test_colony_walk_pinned(desk_grid, desk_patches, seed):
+    params = ScoutParams(n_scouts=10_000)
+    rep = simulate_at_checkpoints(desk_grid, desk_patches, params, PIN_CHECKPOINTS, seed)
+    h = hashlib.sha256(rep.coverage.tobytes())
+    h.update(repr(sorted((s, sorted(ids), f) for s, (ids, f) in rep.at_checkpoint.items()))
+             .encode())
+    assert h.hexdigest() == PINNED_COLONY[seed]
+
+
 def test_checkpoint_zero_only_is_empty(desk_grid, desk_patches):
     rep = simulate_at_checkpoints(
         desk_grid, desk_patches, FAST, [0], seed=3, collect_trajectories=True
@@ -332,6 +370,167 @@ def test_scout_reflected_in_place_opens_no_new_episode():
         found.append(bool(first))
     # a fresh draw per step would all but certainly detect it within 200 steps
     assert any(found) and not all(found)
+
+
+# Leashes whose square is normal, underflows to a subnormal or to 0,
+# overflows, or is inf.
+LEASHES = [48.0, 1.0, 2.0**-500, 2.0**-512, 2.0**-530, 5e-324, 2.0**500, 2.0**512,
+           2.0**600, 1.7e308, math.inf]
+_offset = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leash=st.sampled_from(LEASHES) | st.floats(5e-324, 1.7e308),
+    angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=8),
+    offsets=st.lists(st.tuples(_offset, _offset), max_size=8),
+)
+@example(leash=48.0, angles=[0.0, math.pi / 4, 1.0], offsets=[(5e-324, -5e-324)])
+def test_leash_rule_equals_hypot(leash, angles, offsets):
+    """The squared-distance leash decides as ``np.hypot(dx, dy) > leash``: on
+    the circle and one ulp either side, at subnormal offsets and at random
+    finite ones."""
+    a = np.array(angles)
+    with np.errstate(all="ignore"):
+        cx, cy = leash * np.cos(a), leash * np.sin(a)
+    dx, dy = [cx, np.array([5e-324, -1e-310, 2.0**-1060, 0.0])], [cy, np.full(4, 1e-320)]
+    for toward in (-math.inf, math.inf):
+        dx += [np.nextafter(cx, toward), cx, np.nextafter(cx, toward)]
+        dy += [cy, np.nextafter(cy, toward), np.nextafter(cy, -toward)]
+    dx.append(np.array([o[0] for o in offsets]))
+    dy.append(np.array([o[1] for o in offsets]))
+    dx, dy = np.concatenate(dx), np.concatenate(dy)
+    keep = np.isfinite(dx) & np.isfinite(dy)
+    dx, dy = dx[keep], dy[keep]
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.hypot(dx, dy) > leash
+        got = scouting._beyond_leash(dx, dy, leash)
+    assert np.array_equal(got, want)
+
+
+def blocked_reference(px, py, obstacle):
+    """Indices of the points off the grid or in an obstacle cell, by bounds tests."""
+    height, width = obstacle.shape
+    inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+    ii = inside.nonzero()[0]
+    cell = py[ii].astype(np.int64) * width + px[ii].astype(np.int64)
+    inside[ii[obstacle.ravel()[cell]]] = False
+    return (~inside).nonzero()[0]
+
+
+def sequential_retry(x, y, words, step_len, obstacle):
+    """The four-round retry loop the one-pass retry must match bit for bit:
+    each round turns the scouts still blocked by their next word and tests
+    them again; those blocked after the last round turn by pi and stay."""
+    heading, nx, ny = np.empty(x.size), x.copy(), y.copy()
+    idx = np.arange(x.size)
+    for attempt in range(words.shape[1]):
+        if not idx.size:
+            break
+        turn = (words[idx, attempt] >> np.uint64(11)) * 2.0**-53 * (2.0 * math.pi)
+        heading[idx] = turn
+        px = x[idx] + step_len * np.cos(turn)
+        py = y[idx] + step_len * np.sin(turn)
+        nx[idx], ny[idx] = px, py
+        idx = idx[blocked_reference(px, py, obstacle)]
+    heading[idx] += math.pi
+    nx[idx], ny[idx] = x[idx], y[idx]
+    return heading, nx, ny
+
+
+BOX_ROWS = [".....", ".###.", ".#H#.", ".###.", "..A.."]
+
+
+def retry_word(angle: float) -> int:
+    """A raw word whose retry turn is ``angle`` to within 2**-50 radians."""
+    return int(angle / (2.0 * math.pi) * 2.0**53) << 11
+
+
+def assert_retry_matches(x, y, words, step_len, obstacle):
+    walls = np.pad(obstacle, 1, constant_values=True)
+    got = scouting._retry(x, y, words, step_len, walls)
+    want = sequential_retry(x, y, words, step_len, obstacle)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
+def test_retry_boxed_in_and_third_retry_open():
+    """Scout 0 is boxed in on all sides: it stays and faces its fourth retry
+    turned by pi. Scout 1, in the top-left corner, is blocked west and north
+    (off the grid) and takes its third retry, east."""
+    obstacle = parse_map(make_map(BOX_ROWS)).obstacle_mask()
+    x, y = np.array([2.5, 0.5]), np.array([2.5, 0.5])
+    angles = [math.pi, 1.5 * math.pi, 0.0, 0.5 * math.pi]
+    words = np.array([[retry_word(a) for a in angles]] * 2, dtype=np.uint64)
+    heading, nx, ny = assert_retry_matches(x, y, words, 0.8, obstacle)
+    assert (nx[0], ny[0]) == (2.5, 2.5)
+    assert heading[0] == retry_word(0.5 * math.pi) / 2.0**64 * (2.0 * math.pi) + math.pi
+    assert heading[1] == 0.0 and (nx[1], ny[1]) == (1.3, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.floats(0.0, 7.0, exclude_max=True),
+                             st.floats(0.0, 5.0, exclude_max=True)), min_size=1, max_size=12),
+    words=st.lists(st.integers(0, 2**64 - 1), min_size=48, max_size=48),
+    step_len=st.floats(0.05, 3.0),
+)
+def test_one_pass_retry_matches_sequential_rounds(cells, words, step_len):
+    obstacle = parse_map(make_map(EDGE_ROWS)).obstacle_mask()
+    x, y = (np.array(c) for c in zip(*cells))
+    raw = np.array(words[: 4 * x.size], dtype=np.uint64).reshape(-1, 4)
+    assert_retry_matches(x, y, raw, step_len, obstacle)
+
+
+def test_blocked_mask_matches_bounds_tests():
+    """The padded mask agrees with bounds tests at the grid's edges and far off it."""
+    obstacle = parse_map(make_map(EDGE_ROWS)).obstacle_mask()
+    height, width = obstacle.shape
+    edges = [-1e300, -1.0, -2.0**-60, -0.0, 0.0, 2.0**-1074, 1.5, 3.5,
+             math.nextafter(height, 0.0), height, math.nextafter(width, 0.0), width, 1e300]
+    px, py = (a.ravel() for a in np.meshgrid(edges, edges))
+    walls = np.pad(obstacle, 1, constant_values=True)
+    got = scouting._blocked(px, py, walls).nonzero()[0]
+    assert np.array_equal(got, blocked_reference(px, py, obstacle))
+
+
+def brute_fresh(rows, flat, prev_flat):
+    """(scout, id) of each id in a scout's current row missing from its previous one."""
+    return [(i, j) for i, (c, p) in enumerate(zip(flat, prev_flat))
+            for j in sorted(set(rows.get(c, [])) - set(rows.get(p, [])))]
+
+
+def fresh_pairs(keys, n_cells, flat, prev_flat):
+    rows = scouting._Rows(keys, n_cells)
+    flat, prev_flat = np.array(flat), np.array(prev_flat)
+    scout, pid = rows.fresh(flat, prev_flat)
+    return list(zip(scout.tolist(), pid.tolist()))
+
+
+def test_signature_change_decides_new_episodes():
+    """Cells 0 and 1 hold the single id 5, cell 2 ids 3 and 5, cell 3 id 7
+    and cell 4 none; cell 5 is the empty row before step 1. A move between
+    the two one-id rows of 5 opens no episode; a move from the two-id row to
+    the one-id row of 7 opens one."""
+    keys = np.array([0 << 32 | 5, 1 << 32 | 5, 2 << 32 | 3, 2 << 32 | 5, 3 << 32 | 7])
+    assert fresh_pairs(keys, 5, [1], [0]) == []
+    assert fresh_pairs(keys, 5, [3], [2]) == [(0, 7)]
+    assert fresh_pairs(keys, 5, [1, 3, 2, 4, 0, 2], [0, 2, 1, 3, 5, 2]) == [
+        (1, 7), (2, 3), (4, 5),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 4)), max_size=25),
+    moves=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=20),
+)
+def test_fresh_pairs_match_row_difference(entries, moves):
+    keys = np.array(sorted(c << 32 | j for c, j in entries), dtype=np.int64)
+    flat, prev_flat = zip(*moves)
+    assert fresh_pairs(keys, 8, flat, prev_flat) == brute_fresh(sensing_rows(keys), flat,
+                                                                prev_flat)
 
 
 EDGE_ROWS = ["Y....YY", "Y..#...", "...H..A", "A......", "YY...YA"]

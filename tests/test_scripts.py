@@ -121,6 +121,11 @@ def test_bench_pair_verdicts(monkeypatch, tmp_path, capsys):
         "job_s_p50": "worse", "setup_s": "unresolved",
         "seeds_per_min": "no_worse", "peak_rss_mb": "no_worse",
     }
+    # per pair change/base: 1.5 each; 2, 1.2, 0.867, 0.7; 1.1 each; 0.8, 0.683, 0.6, 0.5375
+    assert {name: m["pair_ratio_median"] for name, m in metrics.items()} == pytest.approx({
+        "job_s_p50": 1.5, "setup_s": (1.2 + 1.3 / 1.5) / 2,
+        "seeds_per_min": 1.1, "peak_rss_mb": (41.0 / 60.0 + 0.6) / 2,
+    })
     flagged = [line for line in capsys.readouterr().err.splitlines() if "(median" in line]
     assert [line.split(":")[0] for line in flagged] == [
         "desk_case setup_s", "desk_case job_s_p50",
