@@ -67,7 +67,7 @@ def cmd_baseline(scenario, dump_paths: bool = False) -> int:
     write_foodflow(out / "foodflow.csv", patches)
     write_coverage_csv(out / "coverage.csv", season.scout_report)
     if dump_paths:
-        write_trajectories_csv(out / "paths.csv", season.first_refresh_paths)
+        write_trajectories_csv(out / "paths.csv", season.scout_report.trajectories)
     return 0
 
 
@@ -99,7 +99,7 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
     )
     write_labels_csv(out / "region_labels.csv", plan.region_labels)
     if dump_paths:
-        write_trajectories_csv(out / "paths.csv", baseline.first_refresh_paths)
+        write_trajectories_csv(out / "paths.csv", baseline.scout_report.trajectories)
     return 0
 
 

@@ -15,14 +15,13 @@ walk rather than re-rolling it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-import numpy as np
-
+from .errors import OutOfRangeValueError
 from .landscape import CellGrid, Patch
 from .rng import derive_seed
 from .scouting import ScoutParams, ScoutReport, WalkLog, simulate_at_checkpoints
-from .weather import DayWeather, EnvControl, WeatherSeries, foraging_hours
+from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, WeatherSeries, foraging_hours
 
 TRIPS_PER_SUN_HOUR_EPS = 1e-6
 BASE_CAP_H = 9.0  # daily foraging hour cap while no control acts
@@ -84,11 +83,10 @@ class SeasonRecord:
     totals: SeasonTotals
     # The season's one walk: coverage summed over its refreshes, detections
     # and fractions of the longest refresh, and each refresh's knowledge.
+    # Its trajectories, if collected, are the first refresh with foraging
+    # hours, or zero steps if there is none.
     scout_report: ScoutReport
     coverage_by_day: dict[int, tuple[int, float]]  # day -> (found patches, covered fraction)
-    # (n_scouts, steps, 2) walk of the first refresh with foraging hours, or
-    # zero steps if there is none; only set when trajectories are collected.
-    first_refresh_paths: np.ndarray | None = field(default=None, compare=False)
 
 
 def simulate_day(
@@ -161,14 +159,17 @@ def run_season(
     prefix of the season's one walk, read at each refresh's step count. The
     walk's report sums the refreshes' visit counts, and on each day the
     colony knows what the longest prefix walked so far detected, which is
-    every detection so far. With ``collect_trajectories`` the record also
-    carries the paths of the first refresh whose day has foraging hours.
+    every detection so far. With ``collect_trajectories`` the report's
+    trajectories are the paths of the first refresh whose day has foraging
+    hours. A non-empty season window must lie within the weather year.
     ``log`` goes to the walk: it records it, and resumes it from its base's
     walk if it has one.
     """
     if scout_cadence_days < 1:
         raise ValueError("scout_cadence_days must be >= 1")
     start, end = colony.season
+    if start <= end and not 1 <= start <= end <= DAYS_PER_YEAR:
+        raise OutOfRangeValueError(f"season {start}..{end} outside 1..{DAYS_PER_YEAR}")
     season_days = list(range(start, end + 1))
     refresh_days = season_days[::scout_cadence_days]
 
@@ -181,10 +182,9 @@ def run_season(
     report = simulate_at_checkpoints(
         grid, patches, scout_params, refresh_steps, scout_seed, collect_trajectories, log
     )
-    first_refresh_paths = None
     if collect_trajectories:
         first = next((d for d in refresh_days if hours_by_day[d] > 0), None)
-        first_refresh_paths = report.trajectories[:, : steps_by_day.get(first, 0)]
+        report = replace(report, trajectories=report.trajectories[:, : steps_by_day.get(first, 0)])
 
     walked = 0
     days: list[DayRecord] = []
@@ -203,7 +203,6 @@ def run_season(
         totals=aggregate_totals(days, report, natural),
         scout_report=report,
         coverage_by_day=coverage_by_day,
-        first_refresh_paths=first_refresh_paths,
     )
 
 

@@ -7,10 +7,8 @@ the parent seed with a list of tokens through the SplitMix64 finalizer:
 
     child = mix64((mix64(seed + GOLDEN) ^ token_hash(t1)) + GOLDEN) ...
 
-Integer tokens hash through mix64; string tokens hash with 64-bit FNV-1a.
-The rule is part of the output contract: changing it changes every golden
-file. Per-scout substreams, if an implementation ever steps scouts in
-parallel, must use derive_seed(run_seed, "scout", scout_index).
+Tokens are strings, hashed with 64-bit FNV-1a. The rule is part of the
+output contract: changing it changes every golden file.
 """
 
 from __future__ import annotations
@@ -38,9 +36,11 @@ def mix64(z: int) -> int:
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """`mix64` over a ``uint64`` array; wrapping multiply makes it exact.
 
-    The stages run in place on one new array, so ``z`` itself is never written."""
+    The stages run in place on one new array, so ``z`` itself is never written.
+    A 0-d input gives a 0-d array: numpy scalars would warn on the wrap."""
     z = np.asarray(z, dtype=np.uint64)
-    out = z >> _U30
+    out = z.copy()
+    out >>= _U30
     out ^= z
     out *= _U_MIX_A
     out ^= out >> _U27
@@ -49,20 +49,14 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _token_hash(token: int | str) -> int:
-    if isinstance(token, bool):
-        raise TypeError("bool token is ambiguous; use int or str")
-    if isinstance(token, int):
-        return mix64(token & _MASK64)
-    if isinstance(token, str):
-        h = _FNV_OFFSET
-        for b in token.encode("utf-8"):
-            h = ((h ^ b) * _FNV_PRIME) & _MASK64
-        return h
-    raise TypeError(f"unsupported token type: {type(token).__name__}")
+def _token_hash(token: str) -> int:
+    h = _FNV_OFFSET
+    for b in token.encode("utf-8"):
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
 
 
-def derive_seed(seed: int, *tokens: int | str) -> int:
+def derive_seed(seed: int, *tokens: str) -> int:
     """Derive a 64-bit child seed from a parent seed and named tokens."""
     s = mix64((seed + _GOLDEN) & _MASK64)
     for t in tokens:
@@ -70,7 +64,6 @@ def derive_seed(seed: int, *tokens: int | str) -> int:
     return s
 
 
-def generator(seed: int, *tokens: int | str) -> np.random.Generator:
+def generator(seed: int, *tokens: str) -> np.random.Generator:
     """Philox4x64 generator keyed by derive_seed(seed, *tokens)."""
-    key = derive_seed(seed, *tokens) if tokens else (seed & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=derive_seed(seed, *tokens)))

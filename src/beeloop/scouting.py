@@ -89,6 +89,9 @@ _U64_SCALE = 1.0 / 2.0**64
 # (member cell, offset) entries ``build_sensing_map`` expands at once.
 _SENSING_CHUNK = 1 << 18
 _ID_MASK = 0xFFFFFFFF  # the patch id field of a sensing key
+_SAVE_EVERY = 16  # steps between the walk states a ``WalkLog`` saves
+# A 24 h day of steps must fit the int32 first-detection steps.
+_MAX_STEPS_PER_HOUR = (2**31 - 1) // 24
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,8 @@ class ScoutParams:
             raise ValueError("scout counts and step rates must be positive")
         if self.dwell_steps >= 1 << 63:
             raise ValueError("dwell_steps must fit the int64 dwell counter")
+        if self.steps_per_hour > _MAX_STEPS_PER_HOUR:
+            raise ValueError(f"steps_per_hour must be <= {_MAX_STEPS_PER_HOUR}")
         if not all(v > 0 for v in (self.step_length, self.max_range, self.detection_radius)):
             raise ValueError("scout distances must be positive")
         if not (math.isfinite(self.step_length) and math.isfinite(self.detection_radius)):
@@ -119,7 +124,8 @@ class ScoutParams:
 class ScoutReport:
     """One walk read at its checkpoints: ``coverage`` sums the visit counts at
     each checkpoint as given, repeats counted; the detections and fractions
-    are the last checkpoint's; ``trajectories`` is the whole walk."""
+    are the last checkpoint's; ``trajectories`` is the whole walk, which
+    ``run_season`` cuts to its first refresh with foraging hours."""
 
     coverage: np.ndarray  # (height, width) int64 visit counts
     detected_patch_ids: frozenset[int]
@@ -199,7 +205,7 @@ class WalkLog:
     - ``found_at``: int32 by patch id, the step of the patch's first
       detection, 0 for a patch not detected.
     - ``states``: step -> (x, y, heading, target, dwell, move generator state)
-      at step 0, every ``SAVE_EVERY`` steps and at the last step walked.
+      at step 0, every ``_SAVE_EVERY`` steps and at the last step walked.
     - ``resumed_at``: the step the walk took over from ``base``, 0 for none.
     - ``rows``: the walk's sensing map, the sorted keys ``cell << 32 | id``
       that ``build_sensing_map`` gives.
@@ -209,8 +215,6 @@ class WalkLog:
     differs between ``base``'s walk and this one or exists in only one. They
     pick both the keys rebuilt and the resume step.
     """
-
-    SAVE_EVERY = 16
 
     def __init__(self, base: WalkLog | None = None):
         self.base = base
@@ -302,16 +306,12 @@ def _beyond_leash(dx, dy, leash):
     The squared distance decides wherever it lies more than a 2**-40 relative
     margin from ``leash**2``: the squares, their sum and hypot err by a few
     ulps, far inside it. Where ``leash**2`` leaves [2**-1000, 2**1000],
-    underflow or overflow could eat the margin, so a fixed bound decides only
-    the side that stays clear of the circle and hypot the rest.
+    underflow or overflow could eat the margin, so hypot decides every scout.
     """
     square = leash * leash
-    if square > 2.0**1000:  # a leash past 2**500: within it below 2**999
-        lo, hi = 2.0**999, math.inf
-    elif square < 2.0**-1000:  # a leash under 2**-500: beyond it above 2**-999
-        lo, hi = -math.inf, 2.0**-999
-    else:
-        lo, hi = square * (1.0 - 2.0**-40), square * (1.0 + 2.0**-40)
+    if not 2.0**-1000 <= square <= 2.0**1000:
+        return np.hypot(dx, dy) > leash
+    lo, hi = square * (1.0 - 2.0**-40), square * (1.0 + 2.0**-40)
     d2 = dx * dx
     d2 += dy * dy
     beyond = d2 > lo
@@ -538,7 +538,7 @@ def simulate_at_checkpoints(
         # -1, so the release leaves them as they are.
         dwell -= target >= 0
         np.putmask(target, dwell <= 0, -1)
-        if log is not None and (step % log.SAVE_EVERY == 0 or step == total_steps):
+        if log is not None and (step % _SAVE_EVERY == 0 or step == total_steps):
             log.states[step] = _walk_state(x, y, heading, target, dwell, move_rng)
 
         if step in wanted:

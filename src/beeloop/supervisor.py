@@ -9,20 +9,12 @@ strictly fell. An iteration that fails to improve is rolled back and the
 loop stops, so accepted-loss monotonicity and final-never-worse-than-baseline
 hold exactly rather than on average.
 
-All seasons in one loop share the run seed, so a candidate differs from the
-incumbent only through the patches and controls it adds, with one exception:
-a new beacon renumbers the incumbent's beacons after it in scan order, which
-re-rolls their detection draws (see ``beeloop.scouting``).
-
-Each season records its walk in a ``WalkLog``, and a candidate's walk
-resumes from the incumbent's. One rule decides what it reuses: the moved
-patch ids, those whose patch differs from the incumbent's or exists in only
-one landscape (new beacons and the beacons they renumber). The candidate
-keeps the incumbent's sensing rows with the moved ids' entries rebuilt, and
-its steps up to the last saved state before any scout stands on a cell that
-senses a moved id. Outputs are the bytes a full recompute gives. The log
-costs one int32 per scout and step, held for the incumbent and the
-candidate only (the baseline is the first incumbent), inside this loop.
+All seasons in one loop share the run seed, and each records its walk in a
+``WalkLog`` that the next candidate's walk resumes from. How patches key
+their draws and what a resumed walk reuses are set out in
+``beeloop.scouting``. Outputs are the bytes a full recompute gives. Logs are
+held for the incumbent and the candidate only (the baseline is the first
+incumbent), inside this loop.
 """
 
 from __future__ import annotations
@@ -237,13 +229,6 @@ def optimize_env_control(
     return EnvControl(uplifts[best[0]], extras[best[1]], window)
 
 
-def _effective(ctrl: EnvControl) -> EnvControl | None:
-    """A zero-magnitude control is no control at all (baseline hour cap)."""
-    if ctrl.temp_uplift == 0.0 and ctrl.extra_light_hours == 0.0:
-        return None
-    return ctrl
-
-
 def run_fi_loop(
     grid: CellGrid,
     weather: WeatherSeries,
@@ -260,6 +245,8 @@ def run_fi_loop(
     ``collect_trajectories`` is passed to the baseline season only.
     """
     window = colony.season
+    # A zero-magnitude control is no control at all (baseline hour cap).
+    no_control = EnvControl(0.0, 0.0, window)
     tiling = tile_regions(grid, settings.region_rows, settings.region_cols)
     # with_artificial only fills empty cells, so every candidate has these
     crop = [p for p in derive_patches(grid, settings.patch_params) if not p.artificial]
@@ -300,7 +287,7 @@ def run_fi_loop(
             fit(samples), weather, window, settings.bounds, settings.control_grid_steps,
             settings.fi_cap_h,
         )
-        return _effective(best)
+        return None if best == no_control else best
 
     cur = evaluate(grid, None, collect_trajectories)
     baseline = cur.season
@@ -343,7 +330,7 @@ def run_fi_loop(
 
     plan = FiPlan(
         placed_patches=tuple(placed),
-        env_control=cur.ctrl if cur.ctrl is not None else EnvControl(0.0, 0.0, window),
+        env_control=cur.ctrl or no_control,
         iterations_used=len(steps),
         final_loss=best_loss,
         final_patches=tuple(cur.patches),

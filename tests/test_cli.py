@@ -589,3 +589,20 @@ def test_step_no_scout_can_take_rejected(tmp_path, capsys):
     for command in ("baseline", "fi"):
         assert main([command, "--config", str(config), "--out", str(out)]) != 0
         assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+def test_huge_steps_per_hour_fails_at_load(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10)
+    config.write_text(config.read_text() + f"\n[scouting]\nsteps_per_hour = {10**400}\n")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "ConfigError", out)
+
+
+def test_season_end_far_past_year_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10, season_end=10**400)
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "OutOfRangeValue", out)

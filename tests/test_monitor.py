@@ -10,6 +10,7 @@ from beeloop.errors import (
     ZeroVarianceError,
 )
 from beeloop.monitor import (
+    RIDGE_LAMBDA,
     LinearModel,
     MonitorSample,
     day_features,
@@ -172,3 +173,27 @@ def test_day_features_apply_control_inside_window():
     assert t2 == 12.0 and light2 == 7.0
     assert s == pytest.approx(math.sin(2 * math.pi * 100 / 365))
     assert c == pytest.approx(math.cos(2 * math.pi * 100 / 365))
+
+
+def test_singular_design_takes_ridge_retry(monkeypatch):
+    """Light equal to temperature and one day's harmonics throughout make
+    ``X^T X`` exactly singular; the ridge retry still fits exact linear targets."""
+    solved = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        solved.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    angle = 2 * math.pi * 100 / 365
+    samples = [
+        MonitorSample((t, t, math.sin(angle), math.cos(angle)), 2.0 * t + 1.0)
+        for t in map(float, range(10, 30))
+    ]
+    model = fit(samples)
+    assert len(solved) == 2
+    assert np.array_equal(solved[1], solved[0] + RIDGE_LAMBDA * np.eye(5))
+    assert all(map(math.isfinite, (*model.coefficients, model.intercept)))
+    for s in samples:
+        assert predict(model, s.features) == pytest.approx(s.target, rel=1e-6)

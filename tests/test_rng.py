@@ -77,3 +77,13 @@ def test_walk_draws_match_normal_and_uniform(seed, n):
         assert buf.tobytes() == noise.tobytes()
         assert turned.tobytes() == dirs.tobytes()
         assert philox_state(new) == philox_state(ref)
+
+
+@pytest.mark.parametrize("value", [np.uint64(5), np.array(5, dtype=np.uint64)],
+                         ids=["scalar", "0d_array"])
+def test_mix64_array_on_0d_input(value):
+    """A 0-d input mixes without the wrap warning that numpy scalars give
+    (pytest turns RuntimeWarning into an error)."""
+    out = mix64_array(value)
+    assert out.dtype == np.uint64 and out.shape == ()
+    assert int(out) == mix64(5)

@@ -685,3 +685,11 @@ def test_paths_csv_cells_round_trip_exactly(tmp_path, path_cases):
             match = cell.fullmatch(text)
             assert match, text
             assert np.float64(float(match[1])).tobytes() == np.float64(want).tobytes()
+
+
+def test_steps_per_hour_bounded_by_int32_day():
+    """A 24 h day of steps must fit the int32 first-detection steps."""
+    assert ScoutParams(steps_per_hour=(2**31 - 1) // 24).steps_per_hour == 89_478_485
+    for value in (89_478_486, 10**400):
+        with pytest.raises(ValueError):
+            ScoutParams(steps_per_hour=value)
