@@ -64,11 +64,16 @@ def build_rows() -> list[str]:
     return ["".join(r) for r in grid]
 
 
+def map_text() -> str:
+    """The bundled map file's text: the cell size header, then the rows."""
+    return f"# cell_size_m = {CELL_SIZE_M!r}\n" + "\n".join(build_rows()) + "\n"
+
+
 def main() -> None:
-    rows = build_rows()
+    text = map_text()
+    rows = text.splitlines()[1:]
     out = Path(__file__).resolve().parents[1] / "src" / "beeloop" / "data" / "field_desk.map"
     out.parent.mkdir(parents=True, exist_ok=True)
-    text = f"# cell_size_m = {CELL_SIZE_M!r}\n" + "\n".join(rows) + "\n"
     out.write_text(text, encoding="utf-8")
     crop_cells = sum(r.count("Y") for r in rows)
     print(f"wrote {out}")

@@ -19,7 +19,7 @@ from .control import (
     write_proposals_csv,
 )
 from .errors import MissingArtifactsError, SimError, read_utf8
-from .foraging import run_season, write_season_csv, write_totals
+from .foraging import SEASON_COLUMNS, run_season, write_season_csv, write_totals
 from .landscape import derive_patches, load_map, write_foodflow
 from .metrics import compare, write_comparison_csv
 from .monitor import (
@@ -45,10 +45,16 @@ def default_config_path() -> Path:
 def _build_classifier(scenario):
     if scenario.classifier_kind == "threshold":
         return scenario.thresholds
-    sample = synthetic_region_sample(
-        SOFTMAX_TRAIN_SIZE, derive_seed(scenario.seed, "classifier"), scenario.thresholds
-    )
-    return train_softmax(sample, derive_seed(scenario.seed, "classifier"))
+    seed = derive_seed(scenario.seed, "classifier")
+    sample = synthetic_region_sample(SOFTMAX_TRAIN_SIZE, seed, scenario.thresholds)
+    return train_softmax(sample, seed)
+
+
+def _write_season(out: Path, season, suffix: str = "") -> None:
+    """One season's CSV, totals JSON and coverage CSV, their names ending in ``suffix``."""
+    write_season_csv(out / f"season{suffix}.csv", season)
+    write_totals(out / f"totals{suffix}.json", season.totals)
+    write_coverage_csv(out / f"coverage{suffix}.csv", season.scout_report)
 
 
 def cmd_baseline(scenario, dump_paths: bool = False) -> int:
@@ -58,14 +64,12 @@ def cmd_baseline(scenario, dump_paths: bool = False) -> int:
     season = run_season(
         grid, patches, weather, None, scenario.colony,
         scenario.settings.scout_cadence_days, scenario.scout, scenario.seed,
-        scenario.settings.base_cap_h, collect_trajectories=dump_paths,
+        scenario.settings.cap_h(None), collect_trajectories=dump_paths,
     )
     out = scenario.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_season_csv(out / "season.csv", season)
-    write_totals(out / "totals.json", season.totals)
+    _write_season(out, season)
     write_foodflow(out / "foodflow.csv", patches)
-    write_coverage_csv(out / "coverage.csv", season.scout_report)
     if dump_paths:
         write_trajectories_csv(out / "paths.csv", season.scout_report.trajectories)
     return 0
@@ -83,12 +87,8 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
 
     out = scenario.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_season_csv(out / "season_baseline.csv", baseline)
-    write_totals(out / "totals_baseline.json", baseline.totals)
-    write_coverage_csv(out / "coverage_baseline.csv", baseline.scout_report)
-    write_season_csv(out / "season_fi.csv", final)
-    write_totals(out / "totals_fi.json", final.totals)
-    write_coverage_csv(out / "coverage_fi.csv", final.scout_report)
+    _write_season(out, baseline, "_baseline")
+    _write_season(out, final, "_fi")
     write_foodflow(out / "foodflow_fi.csv", plan.final_patches)
     write_fi_plan_csv(out / "fi_plan.csv", plan)
     write_proposals_csv(out / "placed_patches.csv", list(plan.placed_patches))
@@ -103,7 +103,7 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
     return 0
 
 
-def _read_season_csv(path: Path, columns: list[str]) -> list[dict[str, str]]:
+def _read_season_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     """Rows of a season export, each holding an integer ``day`` and ``columns``.
 
     A missing file, a missing column, a row of the wrong width or a day that
@@ -131,15 +131,11 @@ def _read_season_csv(path: Path, columns: list[str]) -> list[dict[str, str]]:
 
 def cmd_report(run_dir: Path) -> int:
     """Melt both season exports into plot-ready long format."""
-    metrics = [
-        "foraging_h", "trips", "trips_per_sun_h", "total_visits",
-        "detected_patches", "covered_area_frac",
-    ]
     sources = {"baseline": run_dir / "season_baseline.csv", "fi": run_dir / "season_fi.csv"}
     rows = []
     for scenario_name, path in sources.items():
-        for record in _read_season_csv(path, metrics):
-            for m in metrics:
+        for record in _read_season_csv(path, SEASON_COLUMNS):
+            for m in SEASON_COLUMNS:
                 rows.append((m, scenario_name, record["day"], record[m]))
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
     with open(run_dir / "report.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -152,11 +148,11 @@ def cmd_report(run_dir: Path) -> int:
 def cmd_train_monitor(scenario, season_csv: Path | None) -> int:
     """Fit the monitoring model from a season export and print it."""
     path = season_csv if season_csv is not None else scenario.out_dir / "season.csv"
-    records = _read_season_csv(path, ["total_visits"])
+    records = _read_season_csv(path, ("total_visits",))
     weather = config_mod.weather_for(scenario)
     samples = [
         MonitorSample(
-            day_features(weather.day(int(r["day"])), None, scenario.settings.base_cap_h),
+            day_features(weather.day(int(r["day"])), None, scenario.settings.cap_h(None)),
             float(r["total_visits"]),
         )
         for r in records

@@ -14,6 +14,7 @@ walk rather than re-rolling it.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,11 @@ from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, WeatherSeries, forag
 
 TRIPS_PER_SUN_HOUR_EPS = 1e-6
 BASE_CAP_H = 9.0  # daily foraging hour cap while no control acts
+# The season CSV's columns after ``day``.
+SEASON_COLUMNS = (
+    "foraging_h", "trips", "trips_per_sun_h", "total_visits", "detected_patches",
+    "covered_area_frac",
+)
 
 
 @dataclass(frozen=True)
@@ -208,9 +214,7 @@ def run_season(
 
 def write_season_csv(path, record: SeasonRecord) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "day,foraging_h,trips,trips_per_sun_h,total_visits,detected_patches,covered_area_frac\n"
-        )
+        fh.write(",".join(["day", *SEASON_COLUMNS]) + "\n")
         for d in record.days:
             found, frac = record.coverage_by_day[d.day]
             fh.write(
@@ -222,19 +226,15 @@ def write_season_csv(path, record: SeasonRecord) -> None:
 
 def write_totals(path, totals: SeasonTotals) -> None:
     """Flat key-value text file (JSON object, sorted keys, one per line)."""
-    items = [
-        ("covered_area_fraction", repr(totals.covered_area_fraction)),
-        ("detected_fraction", repr(totals.detected_fraction)),
-        ("detected_patch_count", str(totals.detected_patch_count)),
-        ("mean_foraging_period_h", repr(totals.mean_foraging_period)),
-        ("mean_trips_per_sunshine_hour", repr(totals.mean_trips_per_sunshine_hour)),
-        ("natural_patch_count", str(totals.natural_patch_count)),
-        ("total_trips", str(totals.total_trips)),
-        ("total_visits", str(totals.total_visits)),
-    ]
+    items = {
+        "covered_area_fraction": totals.covered_area_fraction,
+        "detected_fraction": totals.detected_fraction,
+        "detected_patch_count": totals.detected_patch_count,
+        "mean_foraging_period_h": totals.mean_foraging_period,
+        "mean_trips_per_sunshine_hour": totals.mean_trips_per_sunshine_hour,
+        "natural_patch_count": totals.natural_patch_count,
+        "total_trips": totals.total_trips,
+        "total_visits": totals.total_visits,
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("{\n")
-        for i, (k, v) in enumerate(items):
-            comma = "," if i < len(items) - 1 else ""
-            fh.write(f'  "{k}": {v}{comma}\n')
-        fh.write("}\n")
+        fh.write(json.dumps(items, indent=2) + "\n")

@@ -10,7 +10,7 @@ ridge retry when the design is singular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .rng import generator
-from .weather import DayWeather, EnvControl, control_effect
+from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, control_effect
 
 FEATURE_NAMES = ("max_temp_c", "light_h", "day_sin", "day_cos")
 RIDGE_LAMBDA = 1e-8
@@ -43,7 +43,7 @@ class LinearModel:
 def day_features(dw: DayWeather, ctrl: EnvControl | None, cap: float) -> tuple[float, ...]:
     """Feature vector for one day under an optional control."""
     uplift, extra = control_effect(ctrl, dw.day)
-    angle = 2.0 * math.pi * dw.day / 365.0
+    angle = 2.0 * math.pi * dw.day / DAYS_PER_YEAR
     return (
         dw.max_temp + uplift,
         min(dw.sunshine_hours + extra, cap),
@@ -80,7 +80,7 @@ def fit(samples: list[MonitorSample]) -> LinearModel:
         intercept=float(beta[0]),
         r_squared_train=0.0,
     )
-    return LinearModel(model.coefficients, model.intercept, r_squared(model, samples))
+    return replace(model, r_squared_train=r_squared(model, samples))
 
 
 def predict(model: LinearModel, features: tuple[float, ...]) -> float:

@@ -19,58 +19,27 @@ Randomness is split into two streams so that landscape edits have only
 causal effects. Movement draws come from a Philox stream in the same block
 every step, whatever the scouts do: n standard normals (turn noise), then
 n x 4 raw 64-bit words, all of them always consumed. Only a blocked scout
-converts its words into retry directions, as ``uniform(0, 2 pi)`` would:
-``(word >> 11) * 2**-53 * 2 pi``. Episode draws are computed by hashing
-(seed, scout, patch id, step), so they are order-independent. Adding a patch
-that takes the last id therefore leaves every scout's walk bitwise unchanged
-until some scout actually senses it. Any other added patch does not:
-``derive_patches`` numbers patches in scan order, crop first, so the new one
-renumbers every patch after it and re-rolls their draws. The feedback loop
-meets this with beacons: on the desk map at seed 7, a beacon at (0, 0) added
-to one at (36, 34) moves the old one from id 245 to 246, and the walks
-differ from step 2.
+converts its words into retry directions (``_retry``). Episode draws are
+computed by hashing (seed, scout, patch id, step), so they are
+order-independent. Adding a patch that takes the last id therefore leaves
+every scout's walk bitwise unchanged until some scout actually senses it.
+Any other added patch does not: ``derive_patches`` numbers patches in scan
+order, crop first, so the new one renumbers every patch after it and
+re-rolls their draws. The feedback loop meets this with beacons: on the
+desk map at seed 7, a beacon at (0, 0) added to one at (36, 34) moves the
+old one from id 245 to 246, and the walks differ from step 2.
 
 The walk is vectorized over scouts: each step is a fixed sequence of array
 operations over all of them, with no per-scout Python loop. Three rules keep
-each scout's costlier work to the scouts whose outputs it can change:
-
-- Leash. A scout is beyond the leash where ``hypot(dx, dy) > leash``. Its
-  squared distance decides against ``leash**2`` with a 2**-40 relative
-  margin, and hypot runs only for the scouts inside the margin, so the rule
-  stays exact, also where ``leash**2`` underflows, overflows or is inf.
-- Episodes. The sensing map is one sorted array of distinct keys
-  ``cell << 32 | patch id``, so a cell's row, the ids sensed there, is a run
-  of consecutive keys. A scout's newly sensed patches are its current cell's
-  row minus its previous cell's row. A cell's signature is the id of a
-  one-id row, else a value unique to the cell, and only a scout whose
-  signature changed onto a non-empty row can sense a new patch. For those
-  scouts each id of the current row, keyed by the previous cell, is compared
-  with every key of the previous row; rows are short.
-- Retries. All retries of every blocked scout are tested in one pass against
-  the obstacle mask padded with a one-cell blocked border, and each scout
-  takes its first open one. A scout with none open reflects: it stays put
-  and faces its last retry turned by pi.
+each scout's costlier work to the scouts whose outputs it can change; each
+is stated where it is applied: the leash (``_beyond_leash``), the encounter
+episodes (``_Rows``) and the retries (``_retry``).
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
-
-Resuming a walk. Because the draws never depend on what scouts sense, two
-walks with the same seed, grid obstacles and params agree step for step until
-some scout stands on a cell whose sensing row differs between them. A
-``WalkLog`` records a walk so that the next one can start from there: each
-scout's cell after every step ((steps, n_scouts) int32, so O(steps x scouts)
-memory), each patch's first-detection step (0 for none), and the full walk
-state (positions, headings, targets, dwell and the Philox generator state,
-which a jump cannot replace because ziggurat normals take a variable number
-of words) at step 0, every 16 steps and the last step. One rule decides what
-a walk given its predecessor's log reuses: the moved ids, those whose patch
-differs between the two walks or exists in only one. Its sensing map is the
-predecessor's keys without the moved ids' keys, with the moved patches' keys
-inserted in order. It restores the last state saved before some logged scout
-stands on a cell that holds a moved id and runs the same step loop from
-there. The steps up to that state are read off the log, each counted into
-coverage as the loop counts a walked step. Only the feedback loop passes
-logs, so a plain walk pays for none of this.
+A walk can resume from its predecessor's ``WalkLog``; that class and
+``WalkLog._begin`` state what a resumed walk reuses. Only the feedback loop
+passes logs, so a plain walk pays for none of this.
 """
 
 from __future__ import annotations
@@ -92,6 +61,10 @@ _ID_MASK = 0xFFFFFFFF  # the patch id field of a sensing key
 _SAVE_EVERY = 16  # steps between the walk states a ``WalkLog`` saves
 # A 24 h day of steps must fit the int32 first-detection steps.
 _MAX_STEPS_PER_HOUR = (2**31 - 1) // 24
+# One scout per bee of the strongest colonies, which peak below 100 000
+# workers. A walk's time and a ``WalkLog``'s 4 bytes per scout step grow
+# linearly in it.
+_MAX_SCOUTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -108,6 +81,8 @@ class ScoutParams:
     def __post_init__(self):
         if min(self.n_scouts, self.steps_per_hour, self.dwell_steps) <= 0:
             raise ValueError("scout counts and step rates must be positive")
+        if self.n_scouts > _MAX_SCOUTS:
+            raise ValueError(f"n_scouts must be <= {_MAX_SCOUTS}")
         if self.dwell_steps >= 1 << 63:
             raise ValueError("dwell_steps must fit the int64 dwell counter")
         if self.steps_per_hour > _MAX_STEPS_PER_HOUR:
@@ -195,17 +170,23 @@ def build_sensing_map(grid: CellGrid, patches: list[Patch], radius: float) -> np
 class WalkLog:
     """What one walk records so that a later walk can resume from it.
 
+    Because the draws never depend on what scouts sense, two walks with the
+    same seed, grid obstacles and params agree step for step until some
+    scout stands on a cell whose sensing row differs between them.
     ``WalkLog()`` records a walk; ``WalkLog(base)`` resumes from the walk that
     ``base`` recorded and records this one, ``base``'s prefix included. After
     the walk it holds:
 
     - ``cells``: (steps, n_scouts) int32, each scout's flat cell after every
-      step. A resumed walk that stops before its resume step keeps the whole
-      prefix, so ``steps`` can exceed the walk's own last checkpoint.
+      step, so O(steps x scouts) memory. A resumed walk that stops before its
+      resume step keeps the whole prefix, so ``steps`` can exceed the walk's
+      own last checkpoint.
     - ``found_at``: int32 by patch id, the step of the patch's first
       detection, 0 for a patch not detected.
     - ``states``: step -> (x, y, heading, target, dwell, move generator state)
-      at step 0, every ``_SAVE_EVERY`` steps and at the last step walked.
+      at step 0, every ``_SAVE_EVERY`` steps and at the last step walked. The
+      generator state is saved whole: a jump cannot replace it, because
+      ziggurat normals take a variable number of words.
     - ``resumed_at``: the step the walk took over from ``base``, 0 for none.
     - ``rows``: the walk's sensing map, the sorted keys ``cell << 32 | id``
       that ``build_sensing_map`` gives.

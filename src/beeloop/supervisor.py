@@ -55,6 +55,10 @@ PATCHES_PER_ITERATION = 3
 # Largest accepted temperature uplift, deg C: far beyond any day's gap to the
 # 15 C foraging gate in the bundled climate, so a larger bound adds nothing.
 MAX_TEMP_UPLIFT_C = 50.0
+# Most control grid steps per axis. The search costs steps**2 x season days:
+# at 401 it took 0.4 s over the desk season and 0.8 s over a full year on a
+# 2-vCPU Xeon, about as long as a whole default desk ``fi`` run.
+MAX_CONTROL_GRID_STEPS = 401
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,8 @@ class LoopSettings:
             raise ValueError("base_cap_h and fi_cap_h must be in (0, 24]")
         if self.scout_cadence_days < 1 or self.control_grid_steps < 1:
             raise ValueError("scout_cadence_days and control_grid_steps must be >= 1")
+        if self.control_grid_steps > MAX_CONTROL_GRID_STEPS:
+            raise ValueError(f"control_grid_steps must be <= {MAX_CONTROL_GRID_STEPS}")
 
     def cap_h(self, ctrl: EnvControl | None) -> float:
         """Daily foraging hour cap: the FI cap once a control acts."""

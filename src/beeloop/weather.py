@@ -44,16 +44,19 @@ class EnvControl:
         return self.active_window[0] <= day <= self.active_window[1]
 
 
+@dataclass
 class WeatherSeries:
     """A full year of DayWeather, indexable by day number."""
 
-    def __init__(self, days: list[DayWeather]):
-        if len(days) != DAYS_PER_YEAR:
-            raise MissingDayError(f"expected {DAYS_PER_YEAR} days, got {len(days)}")
-        for i, dw in enumerate(days, start=1):
+    days: list[DayWeather]
+
+    def __post_init__(self):
+        self.days = list(self.days)
+        if len(self.days) != DAYS_PER_YEAR:
+            raise MissingDayError(f"expected {DAYS_PER_YEAR} days, got {len(self.days)}")
+        for i, dw in enumerate(self.days, start=1):
             if dw.day != i:
                 raise MissingDayError(f"day {i} missing or out of order")
-        self.days = list(days)
 
     def day(self, day: int) -> DayWeather:
         if not 1 <= day <= DAYS_PER_YEAR:
@@ -62,11 +65,6 @@ class WeatherSeries:
 
     def __len__(self) -> int:
         return len(self.days)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeatherSeries):
-            return NotImplemented
-        return self.days == other.days
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,10 @@ class ClimateProfile:
     sunshine_amplitude_h: float = 5.0
     sunshine_noise_h: float = 1.5
     peak_day: int = 196
+
+    def __post_init__(self):
+        if not 1 <= self.peak_day <= DAYS_PER_YEAR:
+            raise ValueError(f"peak_day must be in 1..{DAYS_PER_YEAR}")
 
 
 def load_weather(text: str) -> WeatherSeries:

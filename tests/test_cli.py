@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from beeloop import cli
+from beeloop import cli, supervisor
+from beeloop import config as config_mod
 from beeloop.cli import default_config_path, main
 
 
@@ -606,3 +607,32 @@ def test_season_end_far_past_year_rejected(tmp_path, capsys):
     for command in ("baseline", "fi"):
         assert main([command, "--config", str(config), "--out", str(out)]) != 0
         assert_one_error(capsys, "OutOfRangeValue", out)
+
+
+@pytest.mark.parametrize(
+    "section,key,bound",
+    [("weather", "peak_day", 365), ("supervisor", "control_grid_steps", 401),
+     ("scouting", "n_scouts", 100_000)],
+    ids=["peak_day", "control_grid_steps", "n_scouts"],
+)
+@pytest.mark.parametrize("value", ["bound_plus_1", "huge"])
+def test_int_key_past_its_bound_fails_at_load(tmp_path, capsys, monkeypatch, section, key,
+                                              bound, value):
+    """Each value is rejected when the scenario loads: the weather, the
+    season, the loop and the control search all fail if reached."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran past the scenario load")
+
+    for module, name in [(config_mod, "synth_weather"), (cli, "run_season"),
+                         (cli, "run_fi_loop"), (supervisor, "optimize_env_control")]:
+        monkeypatch.setattr(module, name, not_reached)
+    value = bound + 1 if value == "bound_plus_1" else 10**400
+    if key == "n_scouts":
+        config = write_config(tmp_path, n_scouts=value)
+    else:
+        config = write_config(tmp_path, n_scouts=10)
+        config.write_text(config.read_text() + f"\n[{section}]\n{key} = {value}\n")
+    out = tmp_path / "x"
+    for command in ("baseline", "fi"):
+        assert main([command, "--config", str(config), "--out", str(out)]) != 0
+        assert_one_error(capsys, "ConfigError", out)

@@ -693,3 +693,11 @@ def test_steps_per_hour_bounded_by_int32_day():
     for value in (89_478_486, 10**400):
         with pytest.raises(ValueError):
             ScoutParams(steps_per_hour=value)
+
+
+def test_n_scouts_bounded():
+    """Constructs only: no walk runs at these counts."""
+    assert ScoutParams(n_scouts=100_000).n_scouts == 100_000
+    for value in (100_001, 10**400):
+        with pytest.raises(ValueError):
+            ScoutParams(n_scouts=value)

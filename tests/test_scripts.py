@@ -192,3 +192,10 @@ def test_calibrate_baseline_one_seed():
     assert result.returncode == 0, result.stderr
     assert "seed   1: 9h cov " in result.stdout
     assert "mean 16h coverage " in result.stdout
+
+
+def test_make_desk_map_reproduces_the_bundled_map():
+    """The generator's text is the bundled map byte for byte; nothing is written."""
+    text = load_script("make_desk_map.py").map_text()
+    bundled = default_config_path().parent / "field_desk.map"
+    assert text.encode("utf-8") == bundled.read_bytes()

@@ -393,3 +393,10 @@ def test_loop_final_artifacts_without_iterations(desk_grid):
     )
     assert plan.iterations_used == 0
     _assert_final_artifacts_rederive(desk_grid, plan, final, classifier, settings)
+
+
+def test_control_grid_steps_bounded_by_search_cost():
+    assert LoopSettings(control_grid_steps=401).control_grid_steps == 401
+    for value in (402, 10**400):
+        with pytest.raises(ValueError):
+            LoopSettings(control_grid_steps=value)

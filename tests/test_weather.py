@@ -153,3 +153,11 @@ def test_foraging_hours_monotone(a, b):
 
     assert run(lo) <= run(hi)
     assert 0.0 <= run(hi) <= cap
+
+
+def test_peak_day_bounded_by_the_year():
+    assert ClimateProfile(peak_day=1).peak_day == 1
+    assert ClimateProfile(peak_day=365).peak_day == 365
+    for value in (0, 366, 10**400):
+        with pytest.raises(ValueError):
+            ClimateProfile(peak_day=value)
