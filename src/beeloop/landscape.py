@@ -7,12 +7,17 @@ components of `Y` cells; artificial patches are 4-connected components of
 row carry metadata (``cell_size_m``). A grid row can itself start with `#`
 (an obstacle): rows never contain ``=``, which is what disambiguates them.
 
-Patch members are numbered in the order a depth-first flood fill reaches
-them, and a centroid is the left-to-right float sum of its members'
-coordinates. At a cell size that is not a dyadic fraction the sum's rounding
-depends on that order (at 0.3 m, 660 of the 3 920 centroids of a 4x4 desk
-tiling change if summed in scan order), so the fill order is part of the
-output and a labelling-plus-``bincount`` rewrite would not be bit-exact.
+Patch members are numbered in the order a depth-first flood fill pops them,
+and a centroid is the left-to-right float sum of its members' coordinates.
+At a cell size that is not a dyadic fraction the sum's rounding depends on
+that order (at 0.3 m, 660 of the 3 920 centroids of a 4x4 desk tiling change
+if summed in scan order), so the pop order is part of the output. One
+depth-first pass over the grid keeps it: it records every component's
+members back to back in pop order, and every other patch field comes from
+array passes over that record. ``np.bincount`` adds each component's terms
+in element order, so its centroid sums are those of the built-in ``sum`` of
+Python 3.10 and 3.11 bit for bit; a pairwise sum (``np.add.reduceat``,
+``np.sum``) is not.
 """
 
 from __future__ import annotations
@@ -211,11 +216,13 @@ def load_map(path) -> CellGrid:
     return parse_map(read_utf8(path, UnknownSymbolError))
 
 
-def _connected_components(mask: np.ndarray) -> list[list[int]]:
-    """4-connected components of True cells as flat indices ``row*width+col``.
+def _connected_components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4-connected components of True cells: ``(members, sizes)``, int64.
 
-    Components come in scan order of their first cell; members in the order a
-    depth-first search pops them, pushing neighbours up, down, left, right.
+    ``members`` holds every component's flat indices ``row*width+col`` back to
+    back, components in scan order of their first cell, and each component's
+    cells in the order a depth-first search pops them, pushing neighbours up,
+    down, left, right. ``sizes`` holds the components' cell counts.
     """
     height, width = mask.shape
     # A zero row above and below and a zero column after each row (which is
@@ -224,44 +231,84 @@ def _connected_components(mask: np.ndarray) -> list[list[int]]:
     padded = np.zeros((height + 2, stride), dtype=np.uint8)
     padded[1:-1, :width] = mask
     unseen = bytearray(padded.tobytes())
-    components = []
+    popped: list[int] = []
+    sizes: list[int] = []
+    pop = popped.append
     for seed in np.flatnonzero(padded).tolist():
         if not unseen[seed]:
             continue
         unseen[seed] = 0
+        before = len(popped)
         stack = [seed]
-        members = []
+        push, take = stack.append, stack.pop
         while stack:
-            p = stack.pop()
-            members.append(p)
-            for q in (p - stride, p + stride, p - 1, p + 1):
-                if unseen[q]:
-                    unseen[q] = 0
-                    stack.append(q)
-        # (row + 1) * stride + col back to row * width + col
-        components.append([p - p // stride - width for p in members])
-    return components
+            p = take()
+            pop(p)
+            # The four neighbours unrolled: a fifth less time than a loop.
+            q = p - stride
+            if unseen[q]:
+                unseen[q] = 0
+                push(q)
+            q = p + stride
+            if unseen[q]:
+                unseen[q] = 0
+                push(q)
+            q = p - 1
+            if unseen[q]:
+                unseen[q] = 0
+                push(q)
+            q = p + 1
+            if unseen[q]:
+                unseen[q] = 0
+                push(q)
+        sizes.append(len(popped) - before)
+    members = np.array(popped, dtype=np.int64)
+    # (row + 1) * stride + col back to row * width + col
+    return members - members // stride - width, np.array(sizes, dtype=np.int64)
 
 
-def _patch(grid, hive_xy, members, pid, artificial, detect, nectar, pollen) -> Patch:
-    if not (math.isfinite(nectar) and math.isfinite(pollen)):
-        raise OutOfRangeValueError(f"patch {pid} has nectar {nectar} and pollen {pollen}")
-    cs = grid.cell_size
-    width = grid.width
-    xs = [(i % width + 0.5) * cs for i in members]
-    ys = [(i // width + 0.5) * cs for i in members]
-    centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
-    return Patch(
-        id=pid,
-        centroid=centroid,
-        area=len(members) * cs * cs,
-        cell_members=tuple(sorted(members)),
-        distance_from_hive=math.hypot(centroid[0] - hive_xy[0], centroid[1] - hive_xy[1]),
-        nectar_quantity=nectar,
-        pollen_quantity=pollen,
-        detection_probability=detect,
-        artificial=artificial,
-    )
+def _patches(grid: CellGrid, kind: int, first_id: int, params: PatchParams,
+             nectar_each: float = 0.0) -> list[Patch]:
+    """One Patch per 4-connected component of ``kind`` cells, ids from ``first_id``.
+
+    A crop patch's attributes follow its area; an artificial patch gets
+    ``params.artificial_detect``, ``nectar_each`` and no pollen.
+    """
+    members, sizes = _connected_components(grid.cells == kind)
+    n = sizes.size
+    cs, width, n_cells = grid.cell_size, grid.width, grid.cells.size
+    artificial = kind == ARTIFICIAL
+    label = np.repeat(np.arange(n), sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = sizes * cs * cs
+        if artificial:
+            detect = [params.artificial_detect] * n
+            nectar, pollen = np.full(n, nectar_each), np.zeros(n)
+        else:
+            detect = [1.0 - math.exp(-params.kappa * s) for s in sizes.tolist()]
+            nectar, pollen = params.nectar_per_m2 * area, params.pollen_per_m2 * area
+        # bincount adds each label's weights in element order, which is the
+        # depth-first pop order, as Python's left-to-right float sum does.
+        cx = np.bincount(label, (members % width + 0.5) * cs, n) / sizes
+        cy = np.bincount(label, (members // width + 0.5) * cs, n) / sizes
+    finite = np.isfinite(nectar) & np.isfinite(pollen)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise OutOfRangeValueError(
+            f"patch {first_id + i} has nectar {nectar[i].item()} and pollen {pollen[i].item()}"
+        )
+    # Labels ascend, so sorting label-major keys sorts each component's members.
+    flat = (np.sort(label * n_cells + members) % n_cells).tolist()
+    hx, hy = grid.hive_xy_m
+    # Positional in field order: a fifth less time than keywords.
+    return [
+        Patch(first_id + i, (x, y), a, tuple(flat[end - s : end]), math.hypot(x - hx, y - hy),
+              nl, pg, d, artificial)
+        for i, (x, y, a, s, end, nl, pg, d) in enumerate(zip(
+            cx.tolist(), cy.tolist(), area.tolist(), sizes.tolist(), np.cumsum(sizes).tolist(),
+            nectar.tolist(), pollen.tolist(), detect,
+        ))
+    ]
 
 
 def derive_patches(grid: CellGrid, params: PatchParams = PatchParams()) -> list[Patch]:
@@ -270,15 +317,7 @@ def derive_patches(grid: CellGrid, params: PatchParams = PatchParams()) -> list[
     Ids are assigned in scan order (crop patches first), so the numbering is
     deterministic for a given grid.
     """
-    hive_xy = grid.hive_xy_m
-    cs = grid.cell_size
-    crop: list[Patch] = []
-    for members in _connected_components(grid.cells == CROP):
-        n = len(members)
-        area_m2 = n * cs * cs
-        detect = 1.0 - math.exp(-params.kappa * n)
-        nectar, pollen = params.nectar_per_m2 * area_m2, params.pollen_per_m2 * area_m2
-        crop.append(_patch(grid, hive_xy, members, len(crop), False, detect, nectar, pollen))
+    crop = _patches(grid, CROP, 0, params)
     return crop + artificial_patches(grid, crop, params)
 
 
@@ -297,12 +336,7 @@ def artificial_patches(
     cells leaves them unchanged, so a caller that edits only artificial cells
     derives them once and this part per edit.
     """
-    hive_xy = grid.hive_xy_m
-    nectar = artificial_nectar(crop, params)
-    return [
-        _patch(grid, hive_xy, members, len(crop) + i, True, params.artificial_detect, nectar, 0.0)
-        for i, members in enumerate(_connected_components(grid.cells == ARTIFICIAL))
-    ]
+    return _patches(grid, ARTIFICIAL, len(crop), params, artificial_nectar(crop, params))
 
 
 def tile_regions(grid: CellGrid, rows: int, cols: int) -> RegionTiling:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -149,11 +150,11 @@ def build_sensing_map(grid: CellGrid, patches: list[Patch], radius: float) -> np
         dtype=np.int64,
     )
     width, height = grid.width, grid.height
-    members = np.array([f for p in patches for f in p.cell_members], dtype=np.int64)
-    owners = np.repeat(
-        np.array([p.id for p in patches], dtype=np.int64),
-        [len(p.cell_members) for p in patches],
+    sizes = [len(p.cell_members) for p in patches]
+    members = np.fromiter(
+        chain.from_iterable(p.cell_members for p in patches), np.int64, sum(sizes)
     )
+    owners = np.repeat(np.array([p.id for p in patches], dtype=np.int64), sizes)
     # Each chunk's keys are deduplicated before they are concatenated.
     per_chunk = max(1, _SENSING_CHUNK // len(offsets))
     parts = [np.empty(0, dtype=np.int64)]  # so that no patches concatenate too
@@ -263,12 +264,14 @@ class _Rows:
         """(scout, patch id) for each id of a scout's row at ``flat`` missing
         from its row at ``prev_flat``, in (scout, id) order."""
         moved = (self.signature[flat] != self.signature[prev_flat]).nonzero()[0]
-        counts = self.length[flat[moved]]
-        moved, counts = moved[counts > 0], counts[counts > 0]
+        cells = flat[moved]
+        counts = self.length[cells]
+        sensed = counts > 0
+        moved, cells, counts = moved[sensed], cells[sensed], counts[sensed]
         if not moved.size:
             return moved, moved
         ends = np.cumsum(counts)
-        pos = np.repeat(self.start[flat[moved]] - ends + counts, counts) + np.arange(ends[-1])
+        pos = np.repeat(self.start[cells] - ends + counts, counts) + np.arange(ends[-1])
         scout, pid = np.repeat(moved, counts), self.keys[pos] & _ID_MASK
         # A pair is fresh unless its key, moved to the scout's previous cell,
         # is in that cell's row. A read past the row holds another cell's
@@ -309,9 +312,12 @@ def _blocked(px, py, walls):
     a point off the grid clips onto the border.
     """
     rows, cols = walls.shape
-    cell = np.clip(np.floor(py), -1.0, rows - 2)
+    # np.maximum and np.minimum in place: at 150 points np.clip takes twice as long.
+    cell = np.floor(py)
+    np.minimum(np.maximum(cell, -1.0, out=cell), rows - 2, out=cell)
     cell *= cols
-    cell += np.clip(np.floor(px), -1.0, cols - 2)
+    col = np.floor(px)
+    cell += np.minimum(np.maximum(col, -1.0, out=col), cols - 2, out=col)
     cell += cols + 1  # grid cell (r, c) is padded cell (r + 1, c + 1)
     return walls.ravel().take(cell.astype(np.intp))
 
@@ -417,7 +423,8 @@ def simulate_at_checkpoints(
     detect_prob = np.zeros(n_ids)
     detect_prob[ids] = [p.detection_probability for p in patches]
     centroid = np.zeros((2, n_ids))
-    centroid[:, ids] = np.reshape([p.centroid for p in patches], (-1, 2)).T / grid.cell_size
+    xy = np.fromiter(chain.from_iterable(p.centroid for p in patches), np.float64, 2 * ids.size)
+    centroid[:, ids] = xy.reshape(-1, 2).T / grid.cell_size
     centroid_x, centroid_y = centroid
     # Episode draw mix64(mix64(mix64(key ^ mix64(scout)) ^ mix64(patch)) ^
     # mix64(step)): the scout and patch terms are hashed once per walk.

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from beeloop.errors import (
     MultipleHivesError,
     NoHiveError,
+    OutOfRangeValueError,
     RaggedRowsError,
     SimError,
     UnknownSymbolError,
@@ -588,6 +591,47 @@ def test_derive_patches_matches_reference(width, height, seed, cell_size):
     grid = random_grid(width, height, seed, cell_size=cell_size)
     params = PatchParams(kappa=0.07, artificial_nectar_fraction=0.3)
     assert derive_patches(grid, params) == ref_derive_patches(grid, params)
+
+
+@given(
+    st.integers(20, 60),
+    st.integers(20, 60),
+    st.integers(0, 2**32),
+    st.floats(0.5, 0.65),
+    st.sampled_from([0.3, 1 / 3, 7.1, 125.0]),
+)
+@example(60, 60, 5, 1.0, 0.3)  # all crop bar the hive: one component spanning the grid
+@settings(max_examples=40, deadline=None)
+def test_derive_patches_matches_reference_on_percolating_masks(
+    width, height, seed, density, cell_size
+):
+    """Crop at densities around the square lattice's percolation threshold
+    (about 0.59) forms long, branched components of hundreds of cells, so the
+    depth-first pop order and the centroid sums run far past small maps.
+    Half the other cells are artificial."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((height, width))
+    cells = np.where(u < density, CROP, np.where(u < (1 + density) / 2, ARTIFICIAL, EMPTY))
+    cells = cells.astype(np.int8)
+    cells[int(rng.integers(height)), int(rng.integers(width))] = HIVE
+    grid = CellGrid(width, height, cell_size, cells)
+    params = PatchParams(kappa=0.07, artificial_nectar_fraction=0.3)
+    assert derive_patches(grid, params) == ref_derive_patches(grid, params)
+
+
+def test_nectar_overflow_names_first_large_patch():
+    """With nectar per m2 set so that only patches of more than two cells
+    overflow, the error names the first of them, patch 2, and the overflow
+    raises no RuntimeWarning on the way."""
+    grid = parse_map(make_map(["Y.YY.YYY", "........", "YYYY.YY.", "H......."]))
+    patches = derive_patches(grid)
+    assert [len(p.cell_members) for p in patches] == [1, 2, 3, 4, 2]
+    params = PatchParams(nectar_per_m2=sys.float_info.max / (2.5 * grid.cell_size**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OutOfRangeValueError) as err:
+            derive_patches(grid, params)
+    assert str(err.value) == f"patch 2 has nectar inf and pollen {patches[2].pollen_quantity}"
 
 
 def crop_of(patches):

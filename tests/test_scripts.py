@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,32 @@ def test_verify_map_exits_1_on_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["verify_map.py"])
     assert module.main() == 1
     assert capsys.readouterr().err == "mismatch: union-find 245 != derive_patches 244\n"
+
+
+def test_verify_map_exits_1_on_swapped_members(monkeypatch, capsys):
+    """Two patches that trade one cell keep their count; only the member
+    comparison catches them."""
+    module = load_script("verify_map.py")
+    derive = module.derive_patches
+
+    def swapped(grid):
+        patches = derive(grid)
+        a, b = patches[0], patches[1]
+        give, take = a.cell_members[0], b.cell_members[0]
+        patches[0] = replace(a, cell_members=tuple(sorted(a.cell_members[1:] + (take,))))
+        patches[1] = replace(b, cell_members=tuple(sorted(b.cell_members[1:] + (give,))))
+        return patches
+
+    desk_map = default_config_path().parent / "field_desk.map"
+    monkeypatch.setattr(module, "derive_patches", swapped)
+    monkeypatch.setattr(sys, "argv", ["verify_map.py", str(desk_map)])
+    assert module.main() == 1
+    union_find = module.components(module.load_rows(desk_map))
+    give, take = union_find[0][0], union_find[1][0]
+    assert capsys.readouterr().err == (
+        f"mismatch: patch 0 has cells [{take}] outside its union-find component "
+        f"and lacks [{give}]\n"
+    )
 
 
 def test_bench_pair_stops_at_a_failed_run(monkeypatch, tmp_path):
