@@ -18,7 +18,7 @@ from .control import (
     write_labels_csv,
     write_proposals_csv,
 )
-from .errors import MissingArtifactsError, SimError, read_utf8
+from .errors import MissingArtifactsError, SimError, read_utf8, write_utf8
 from .foraging import SEASON_COLUMNS, run_season, write_season_csv, write_totals
 from .landscape import derive_patches, load_map, write_foodflow
 from .metrics import compare, write_comparison_csv
@@ -138,10 +138,9 @@ def cmd_report(run_dir: Path) -> int:
             for m in SEASON_COLUMNS:
                 rows.append((m, scenario_name, record["day"], record[m]))
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
-    with open(run_dir / "report.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,scenario,day,value\n")
-        for m, s, d, v in rows:
-            fh.write(f"{m},{s},{d},{v}\n")
+    write_utf8(run_dir / "report.csv", [
+        "metric,scenario,day,value\n", *(f"{m},{s},{d},{v}\n" for m, s, d, v in rows)
+    ])
     return 0
 
 

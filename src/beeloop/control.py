@@ -15,9 +15,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ClassImbalanceError, TilingMismatchError
+from .errors import ClassImbalanceError, TilingMismatchError, write_utf8
 from .landscape import ARTIFICIAL, CellGrid, EMPTY, RegionTiling, region_centroids_m
-from .rng import generator
+from .rng import generator, ordered_sum
 
 # The softmax trainer's fixed recipe: step size, full-batch epochs, and the
 # fewest samples of each label it trains on.
@@ -70,7 +70,7 @@ class SoftmaxClassifier:
             for v, m, s in zip(f.vector(), self.feature_means, self.feature_scales)
         ]
         return tuple(
-            b + sum(w * x for w, x in zip(row, z))
+            b + ordered_sum(w * x for w, x in zip(row, z))
             for row, b in zip(self.weights, self.biases)
         )
 
@@ -284,23 +284,26 @@ def propose_patches(
     return proposals
 
 
+def proposal_fields(p: PatchProposal) -> str:
+    """A proposal's five CSV fields: cell_x,cell_y,region_id,detect_prob,nectar_l."""
+    return (
+        f"{p.cell[0]},{p.cell[1]},{p.region_id},"
+        f"{p.detection_probability!r},{p.nectar_quantity!r}"
+    )
+
+
 def write_proposals_csv(path, proposals: list[PatchProposal]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cell_x,cell_y,region_id,detect_prob,nectar_l\n")
-        for p in proposals:
-            fh.write(
-                f"{p.cell[0]},{p.cell[1]},{p.region_id},"
-                f"{p.detection_probability!r},{p.nectar_quantity!r}\n"
-            )
+    write_utf8(path, [
+        "cell_x,cell_y,region_id,detect_prob,nectar_l\n",
+        *(f"{proposal_fields(p)}\n" for p in proposals),
+    ])
 
 
 def write_labels_csv(
     path, labeled: list[tuple[RegionFeatures, CoverageLabel]]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("region_id,visit_density,coverage_fraction,distance_to_hive_m,label\n")
-        for f, label in labeled:
-            fh.write(
-                f"{f.region_id},{f.visit_density!r},{f.coverage_fraction!r},"
-                f"{f.distance_to_hive!r},{label.name.lower()}\n"
-            )
+    write_utf8(path, [
+        "region_id,visit_density,coverage_fraction,distance_to_hive_m,label\n",
+        *(f"{f.region_id},{f.visit_density!r},{f.coverage_fraction!r},"
+          f"{f.distance_to_hive!r},{label.name.lower()}\n" for f, label in labeled),
+    ])

@@ -1,7 +1,9 @@
-"""Error taxonomy shared by all modules.
+"""Error taxonomy shared by all modules, and the artifact text encoding.
 
 Every error carries a stable machine-readable ``code`` so the CLI can report
-exactly one error name on stderr and tests can match on it.
+exactly one error name on stderr and tests can match on it. ``read_utf8``
+reads a text input and ``write_utf8`` writes every artifact: UTF-8, LF line
+ends.
 """
 
 
@@ -21,6 +23,12 @@ def read_utf8(path, error: type[SimError]) -> str:
             return fh.read()
     except UnicodeDecodeError as err:
         raise error(f"{path} is not UTF-8: byte {err.start} {err.reason}") from None
+
+
+def write_utf8(path, lines) -> None:
+    """Write the strings of ``lines`` to ``path`` as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
 
 
 # -- map parsing ------------------------------------------------------------

@@ -18,9 +18,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .errors import OutOfRangeValueError
+from .errors import OutOfRangeValueError, write_utf8
 from .landscape import CellGrid, Patch
-from .rng import derive_seed
+from .rng import derive_seed, ordered_sum
 from .scouting import ScoutParams, ScoutReport, WalkLog, simulate_at_checkpoints
 from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, WeatherSeries, foraging_hours
 
@@ -30,6 +30,13 @@ BASE_CAP_H = 9.0  # daily foraging hour cap while no control acts
 SEASON_COLUMNS = (
     "foraging_h", "trips", "trips_per_sun_h", "total_visits", "detected_patches",
     "covered_area_frac",
+)
+# The season totals written to ``totals.json``, in its key order; each key is
+# a ``SeasonTotals`` field.
+TOTALS_KEYS = (
+    "covered_area_fraction", "detected_fraction", "detected_patch_count",
+    "mean_foraging_period_h", "mean_trips_per_sunshine_hour", "natural_patch_count",
+    "total_trips", "total_visits",
 )
 
 
@@ -74,7 +81,7 @@ class DayRecord:
 class SeasonTotals:
     total_visits: int
     total_trips: int
-    mean_foraging_period: float
+    mean_foraging_period_h: float
     mean_trips_per_sunshine_hour: float
     detected_patch_count: int  # non-artificial patches found
     natural_patch_count: int
@@ -131,11 +138,11 @@ def aggregate_totals(
     return SeasonTotals(
         total_visits=sum(d.visits for d in days),
         total_trips=sum(d.completed_trips for d in days),
-        mean_foraging_period=(
-            sum(d.foraging_period for d in days) / n_days if n_days else 0.0
+        mean_foraging_period_h=(
+            ordered_sum(d.foraging_period for d in days) / n_days if n_days else 0.0
         ),
         mean_trips_per_sunshine_hour=(
-            sum(d.trips_per_sunshine_hour for d in days) / n_days if n_days else 0.0
+            ordered_sum(d.trips_per_sunshine_hour for d in days) / n_days if n_days else 0.0
         ),
         detected_patch_count=detected,
         natural_patch_count=len(natural),
@@ -213,28 +220,16 @@ def run_season(
 
 
 def write_season_csv(path, record: SeasonRecord) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["day", *SEASON_COLUMNS]) + "\n")
-        for d in record.days:
-            found, frac = record.coverage_by_day[d.day]
-            fh.write(
-                f"{d.day},{d.foraging_period!r},{d.completed_trips},"
-                f"{d.trips_per_sunshine_hour!r},{d.visits},"
-                f"{found},{frac!r}\n"
-            )
+    cover = record.coverage_by_day
+    write_utf8(path, [
+        ",".join(["day", *SEASON_COLUMNS]) + "\n",
+        *(f"{d.day},{d.foraging_period!r},{d.completed_trips},"
+          f"{d.trips_per_sunshine_hour!r},{d.visits},"
+          f"{cover[d.day][0]},{cover[d.day][1]!r}\n" for d in record.days),
+    ])
 
 
 def write_totals(path, totals: SeasonTotals) -> None:
     """Flat key-value text file (JSON object, sorted keys, one per line)."""
-    items = {
-        "covered_area_fraction": totals.covered_area_fraction,
-        "detected_fraction": totals.detected_fraction,
-        "detected_patch_count": totals.detected_patch_count,
-        "mean_foraging_period_h": totals.mean_foraging_period,
-        "mean_trips_per_sunshine_hour": totals.mean_trips_per_sunshine_hour,
-        "natural_patch_count": totals.natural_patch_count,
-        "total_trips": totals.total_trips,
-        "total_visits": totals.total_visits,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(items, indent=2) + "\n")
+    items = {key: getattr(totals, key) for key in TOTALS_KEYS}
+    write_utf8(path, [json.dumps(items, indent=2) + "\n"])

@@ -15,9 +15,8 @@ if summed in scan order), so the pop order is part of the output. One
 depth-first pass over the grid keeps it: it records every component's
 members back to back in pop order, and every other patch field comes from
 array passes over that record. ``np.bincount`` adds each component's terms
-in element order, so its centroid sums are those of the built-in ``sum`` of
-Python 3.10 and 3.11 bit for bit; a pairwise sum (``np.add.reduceat``,
-``np.sum``) is not.
+in element order, so its centroid sums are the left-to-right sums bit for
+bit; a pairwise sum (``np.add.reduceat``, ``np.sum``) is not.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ from .errors import (
     UnknownSymbolError,
     ZeroRegionsError,
     read_utf8,
+    write_utf8,
 )
+from .rng import ordered_sum
 
 EMPTY, CROP, OBSTACLE, HIVE, ARTIFICIAL = 0, 1, 2, 3, 4
 
@@ -318,25 +319,28 @@ def derive_patches(grid: CellGrid, params: PatchParams = PatchParams()) -> list[
     deterministic for a given grid.
     """
     crop = _patches(grid, CROP, 0, params)
-    return crop + artificial_patches(grid, crop, params)
+    return crop + artificial_patches(grid, len(crop), artificial_nectar(crop, params), params)
 
 
 def artificial_nectar(crop: list[Patch], params: PatchParams) -> float:
     """Nectar of one artificial patch: a fraction of the mean crop patch nectar."""
-    mean_crop_nectar = sum(p.nectar_quantity for p in crop) / len(crop) if crop else 0.0
+    mean_crop_nectar = (
+        ordered_sum(p.nectar_quantity for p in crop) / len(crop) if crop else 0.0
+    )
     return params.artificial_nectar_fraction * mean_crop_nectar
 
 
 def artificial_patches(
-    grid: CellGrid, crop: list[Patch], params: PatchParams = PatchParams()
+    grid: CellGrid, first_id: int, nectar: float, params: PatchParams = PatchParams()
 ) -> list[Patch]:
-    """One Patch per 4-connected artificial component, numbered after ``crop``.
+    """One Patch per 4-connected artificial component, ids from ``first_id``.
 
-    ``crop`` is the grid's crop patches. Placing artificial food on empty
-    cells leaves them unchanged, so a caller that edits only artificial cells
-    derives them once and this part per edit.
+    ``first_id`` is the grid's crop patch count and ``nectar`` their
+    ``artificial_nectar``. Placing artificial food on empty cells leaves the
+    crop patches unchanged, so a caller that edits only artificial cells
+    derives them and their nectar once and this part per edit.
     """
-    return _patches(grid, ARTIFICIAL, len(crop), params, artificial_nectar(crop, params))
+    return _patches(grid, ARTIFICIAL, first_id, params, nectar)
 
 
 def tile_regions(grid: CellGrid, rows: int, cols: int) -> RegionTiling:
@@ -388,11 +392,9 @@ def with_artificial(grid: CellGrid, cells: list[tuple[int, int]]) -> CellGrid:
 
 def write_foodflow(path, patches: list[Patch]) -> None:
     """Per-patch attribute table handed from scouting to foraging."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,x_m,y_m,size_m2,dist_m,nectar_l,pollen_g,detect_prob,artificial\n")
-        for p in patches:
-            fh.write(
-                f"{p.id},{p.centroid[0]!r},{p.centroid[1]!r},{p.area!r},"
-                f"{p.distance_from_hive!r},{p.nectar_quantity!r},{p.pollen_quantity!r},"
-                f"{p.detection_probability!r},{int(p.artificial)}\n"
-            )
+    write_utf8(path, [
+        "id,x_m,y_m,size_m2,dist_m,nectar_l,pollen_g,detect_prob,artificial\n",
+        *(f"{p.id},{p.centroid[0]!r},{p.centroid[1]!r},{p.area!r},"
+          f"{p.distance_from_hive!r},{p.nectar_quantity!r},{p.pollen_quantity!r},"
+          f"{p.detection_probability!r},{int(p.artificial)}\n" for p in patches),
+    ])

@@ -13,8 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 
-from .errors import BadWeightsError, PatchUniverseMismatchError, ZeroBaselineVisitsError
-from .foraging import SeasonRecord
+from .errors import (
+    BadWeightsError,
+    PatchUniverseMismatchError,
+    ZeroBaselineVisitsError,
+    write_utf8,
+)
+from .foraging import TOTALS_KEYS, SeasonRecord
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -67,15 +72,9 @@ def compare(
     ddv = delta_dv(baseline, fi)
     b, f = baseline.totals, fi.totals
     pairs = {
-        "covered_area_fraction": (b.covered_area_fraction, f.covered_area_fraction),
-        "detected_fraction": (b.detected_fraction, f.detected_fraction),
-        "mean_foraging_period_h": (b.mean_foraging_period, f.mean_foraging_period),
-        "mean_trips_per_sunshine_hour": (
-            b.mean_trips_per_sunshine_hour,
-            f.mean_trips_per_sunshine_hour,
-        ),
-        "total_trips": (float(b.total_trips), float(f.total_trips)),
-        "total_visits": (float(b.total_visits), float(f.total_visits)),
+        key: (float(getattr(b, key)), float(getattr(f, key)))
+        for key in TOTALS_KEYS
+        if not key.endswith("_count")
     }
     return ComparisonReport(
         delta_pd=dpd, delta_dv=ddv, pii=pii(dpd, ddv, w1, w2), w1=w1, w2=w2, pairs=pairs
@@ -84,22 +83,20 @@ def compare(
 
 def write_comparison_csv(path, report: ComparisonReport) -> None:
     """One row per metric plus the delta and index rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,baseline,fi,delta,convention\n")
-        for name, (b, f) in report.pairs.items():
-            fh.write(f"{name},{b!r},{f!r},{f - b!r},absolute_difference\n")
-        vb, vf = report.pairs["detected_fraction"]
-        fh.write(
-            f"delta_patch_detection,{vb!r},{vf!r},{report.delta_pd!r},percentage_points\n"
-        )
-        if vb > 0:
-            rel = 100.0 * (vf - vb) / vb
-            fh.write(
-                f"delta_patch_detection_rel,{vb!r},{vf!r},{rel!r},relative_percent\n"
-            )
-        tb, tf = report.pairs["total_visits"]
-        fh.write(f"delta_daily_visits,{tb!r},{tf!r},{report.delta_dv!r},relative_percent\n")
-        fh.write(
-            f"pii,,,{report.pii!r},"
-            f"w1={report.w1!r};w2={report.w2!r};display={display_pii(report.pii)}\n"
-        )
+    lines = ["name,baseline,fi,delta,convention\n"]
+    for name, (b, f) in report.pairs.items():
+        lines.append(f"{name},{b!r},{f!r},{f - b!r},absolute_difference\n")
+    vb, vf = report.pairs["detected_fraction"]
+    lines.append(
+        f"delta_patch_detection,{vb!r},{vf!r},{report.delta_pd!r},percentage_points\n"
+    )
+    if vb > 0:
+        rel = 100.0 * (vf - vb) / vb
+        lines.append(f"delta_patch_detection_rel,{vb!r},{vf!r},{rel!r},relative_percent\n")
+    tb, tf = report.pairs["total_visits"]
+    lines.append(f"delta_daily_visits,{tb!r},{tf!r},{report.delta_dv!r},relative_percent\n")
+    lines.append(
+        f"pii,,,{report.pii!r},"
+        f"w1={report.w1!r};w2={report.w2!r};display={display_pii(report.pii)}\n"
+    )
+    write_utf8(path, lines)

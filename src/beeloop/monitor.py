@@ -19,8 +19,9 @@ from .errors import (
     DegenerateDesignError,
     InsufficientSamplesError,
     ZeroVarianceError,
+    write_utf8,
 )
-from .rng import generator
+from .rng import generator, ordered_sum
 from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, control_effect
 
 FEATURE_NAMES = ("max_temp_c", "light_h", "day_sin", "day_cos")
@@ -93,7 +94,7 @@ def predict(model: LinearModel, features: tuple[float, ...]) -> float:
         raise ArityMismatchError(
             f"model has {len(model.coefficients)} features, got {len(features)}"
         )
-    return model.intercept + sum(c * f for c, f in zip(model.coefficients, features))
+    return model.intercept + ordered_sum(c * f for c, f in zip(model.coefficients, features))
 
 
 def r_squared(model: LinearModel, samples: list[MonitorSample]) -> float:
@@ -123,12 +124,12 @@ def split_samples(
 
 def save_model(path, model: LinearModel) -> None:
     """Flat text serialization; floats use repr so reload is exact."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("features: " + ",".join(FEATURE_NAMES[: len(model.coefficients)]) + "\n")
-        for name, coef in zip(FEATURE_NAMES, model.coefficients):
-            fh.write(f"coef.{name}: {coef!r}\n")
-        fh.write(f"intercept: {model.intercept!r}\n")
-        fh.write(f"r_squared_train: {model.r_squared_train!r}\n")
+    write_utf8(path, [
+        "features: " + ",".join(FEATURE_NAMES[: len(model.coefficients)]) + "\n",
+        *(f"coef.{name}: {coef!r}\n" for name, coef in zip(FEATURE_NAMES, model.coefficients)),
+        f"intercept: {model.intercept!r}\n",
+        f"r_squared_train: {model.r_squared_train!r}\n",
+    ])
 
 
 def load_model(path) -> LinearModel:

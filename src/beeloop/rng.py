@@ -9,9 +9,14 @@ the parent seed with a list of tokens through the SplitMix64 finalizer:
 
 Tokens are strings, hashed with 64-bit FNV-1a. The rule is part of the
 output contract: changing it changes every golden file.
+
+Float sums that reach an output add left to right through `ordered_sum`.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -67,3 +72,13 @@ def derive_seed(seed: int, *tokens: str) -> int:
 def generator(seed: int, *tokens: str) -> np.random.Generator:
     """Philox4x64 generator keyed by derive_seed(seed, *tokens)."""
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *tokens)))
+
+
+def ordered_sum(terms):
+    """``0 + t1 + t2 + ...`` added left to right, floats, ints or arrays.
+
+    This is the built-in ``sum`` of Python 3.10 and 3.11 bit for bit; from
+    3.12 on the built-in compensates float rounding, and the sum would depend
+    on the interpreter.
+    """
+    return reduce(operator.add, terms, 0)

@@ -50,7 +50,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import OutOfRangeValueError
+from .errors import OutOfRangeValueError, write_utf8
 from .landscape import CellGrid, Patch
 from .rng import derive_seed, generator, mix64, mix64_array
 
@@ -562,8 +562,7 @@ def run_scouting(
 
 def write_coverage_csv(path, report: ScoutReport) -> None:
     line = ",".join(["%d"] * report.coverage.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line % tuple(row) for row in report.coverage.tolist())
+    write_utf8(path, (line % tuple(row) for row in report.coverage.tolist()))
 
 
 def write_trajectories_csv(path, trajectories: np.ndarray) -> None:
@@ -573,8 +572,10 @@ def write_trajectories_csv(path, trajectories: np.ndarray) -> None:
     the format was first written with. Rows are formatted and written one
     scout at a time, so memory stays flat in the number of scouts.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scout_id,step,x,y\n")
+    def scouts():
+        yield "scout_id,step,x,y\n"
         for i, walk in enumerate(trajectories):
             row = f"{i},%d,np.float64(%r),np.float64(%r)\n"
-            fh.write("".join([row % (t, x, y) for t, (x, y) in enumerate(walk.tolist(), 1)]))
+            yield "".join([row % (t, x, y) for t, (x, y) in enumerate(walk.tolist(), 1)])
+
+    write_utf8(path, scouts())

@@ -31,9 +31,10 @@ from .control import (
     RegionFeatures,
     classify_regions,
     extract_features,
+    proposal_fields,
     propose_patches,
 )
-from .errors import RegionSetMismatchError
+from .errors import RegionSetMismatchError, write_utf8
 from .foraging import BASE_CAP_H, ColonyParams, SeasonRecord, SeasonTotals, run_season
 from .landscape import (
     CROP,
@@ -201,12 +202,12 @@ def optimize_env_control(
     light, so a flat objective returns (0, 0).
 
     One (extra, day) array per uplift gives that row's scores with the bits
-    of ``sum(predict(model, day_features(...)) for each day)``: ``predict``
-    scores the row's feature arrays, built from the uncontrolled days'
-    features, and the days are summed left to right (``np.cumsum``, where
-    ``np.sum`` would pair them). Rows are scanned in order for the first
-    maximum, so memory follows one row. Scores may overflow to inf or nan,
-    which compare as the loop's do.
+    of the left-to-right sum of ``predict(model, day_features(...))`` over
+    the days: ``predict`` scores the row's feature arrays, built from the
+    uncontrolled days' features, and the days are summed left to right
+    (``np.cumsum``, where ``np.sum`` would pair them). Rows are scanned in
+    order for the first maximum, so memory follows one row. Scores may
+    overflow to inf or nan, which compare as the loop's do.
     """
     if grid_steps < 1:
         raise ValueError("grid_steps must be >= 1")
@@ -254,14 +255,16 @@ def run_fi_loop(
     # A zero-magnitude control is no control at all (baseline hour cap).
     no_control = EnvControl(0.0, 0.0, window)
     tiling = tile_regions(grid, settings.region_rows, settings.region_cols)
+    base_patches = derive_patches(grid, settings.patch_params)
     # with_artificial only fills empty cells, so every candidate has these
-    crop = [p for p in derive_patches(grid, settings.patch_params) if not p.artificial]
+    crop = [p for p in base_patches if not p.artificial]
+    nectar = artificial_nectar(crop, settings.patch_params)
+    beacon = (settings.patch_params.artificial_detect, nectar)
 
     def evaluate(
-        cand_grid: CellGrid, ctrl: EnvControl | None, collect: bool = False,
-        incumbent: _Evaluation | None = None,
+        cand_grid: CellGrid, patches: list[Patch], ctrl: EnvControl | None,
+        collect: bool = False, incumbent: _Evaluation | None = None,
     ) -> _Evaluation:
-        patches = crop + artificial_patches(cand_grid, crop, settings.patch_params)
         log = WalkLog(incumbent.log if incumbent else None)
         season = run_season(
             cand_grid, patches, weather, ctrl, colony, settings.scout_cadence_days,
@@ -295,17 +298,13 @@ def run_fi_loop(
         )
         return None if best == no_control else best
 
-    cur = evaluate(grid, None, collect_trajectories)
+    cur = evaluate(grid, base_patches, None, collect_trajectories)
     baseline = cur.season
     required = required_labels(
         grid, tiling, cfg.required_label, [f.region_id for f in cur.features]
     )
     best_loss = coverage_loss(cur.labels, required)
     ctrl_eff = choose_control(cur)
-    beacon = (
-        settings.patch_params.artificial_detect,
-        artificial_nectar(crop, settings.patch_params),
-    )
     placed: list[PatchProposal] = []
     steps: list[LoopStep] = []
 
@@ -323,9 +322,9 @@ def run_fi_loop(
         if not proposals and not ctrl_is_new:
             break
 
-        cand = evaluate(
-            with_artificial(cur.grid, [p.cell for p in proposals]), ctrl_eff, incumbent=cur
-        )
+        cand_grid = with_artificial(cur.grid, [p.cell for p in proposals])
+        beacons = artificial_patches(cand_grid, len(crop), nectar, settings.patch_params)
+        cand = evaluate(cand_grid, crop + beacons, ctrl_eff, incumbent=cur)
         cand_loss = coverage_loss(cand.labels, required)
 
         if cand_loss >= best_loss:
@@ -346,31 +345,22 @@ def run_fi_loop(
 
 
 def write_fi_plan_csv(path, plan: FiPlan) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "item,cell_x,cell_y,region_id,detect_prob,nectar_l,"
-            "temp_uplift_c,extra_light_h,window_start,window_end,"
-            "iterations_used,final_loss\n"
-        )
-        for p in plan.placed_patches:
-            fh.write(
-                f"patch,{p.cell[0]},{p.cell[1]},{p.region_id},"
-                f"{p.detection_probability!r},{p.nectar_quantity!r},,,,,,\n"
-            )
-        c = plan.env_control
-        fh.write(
-            f"control,,,,,,{c.temp_uplift!r},{c.extra_light_hours!r},"
-            f"{c.active_window[0]},{c.active_window[1]},,\n"
-        )
-        fh.write(f"summary,,,,,,,,,,{plan.iterations_used},{plan.final_loss!r}\n")
+    c = plan.env_control
+    write_utf8(path, [
+        "item,cell_x,cell_y,region_id,detect_prob,nectar_l,"
+        "temp_uplift_c,extra_light_h,window_start,window_end,"
+        "iterations_used,final_loss\n",
+        *(f"patch,{proposal_fields(p)},,,,,,\n" for p in plan.placed_patches),
+        f"control,,,,,,{c.temp_uplift!r},{c.extra_light_hours!r},"
+        f"{c.active_window[0]},{c.active_window[1]},,\n",
+        f"summary,,,,,,,,,,{plan.iterations_used},{plan.final_loss!r}\n",
+    ])
 
 
 def write_loop_trace_csv(path, steps: tuple[LoopStep, ...]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,loss,covered_area_frac,detected_frac,total_visits\n")
-        for i, s in enumerate(steps, 1):
-            t = s.totals
-            fh.write(
-                f"{i},{s.loss!r},{t.covered_area_fraction!r},"
-                f"{t.detected_fraction!r},{t.total_visits}\n"
-            )
+    write_utf8(path, [
+        "iteration,loss,covered_area_frac,detected_frac,total_visits\n",
+        *(f"{i},{s.loss!r},{s.totals.covered_area_fraction!r},"
+          f"{s.totals.detected_fraction!r},{s.totals.total_visits}\n"
+          for i, s in enumerate(steps, 1)),
+    ])

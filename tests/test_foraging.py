@@ -137,7 +137,7 @@ def independent_fold(days, report, patches):
     return {
         "total_visits": visits,
         "total_trips": trips,
-        "mean_foraging_period": period_sum / n if n else 0.0,
+        "mean_foraging_period_h": period_sum / n if n else 0.0,
         "mean_trips_per_sunshine_hour": tpsh_sum / n if n else 0.0,
         "detected_patch_count": len(found),
         "detected_fraction": len(found) / len(natural) if natural else 0.0,
@@ -152,7 +152,7 @@ def test_totals_match_independent_fold():
     got = record.totals
     assert got.total_visits == expect["total_visits"]
     assert got.total_trips == expect["total_trips"]
-    assert got.mean_foraging_period == pytest.approx(expect["mean_foraging_period"])
+    assert got.mean_foraging_period_h == pytest.approx(expect["mean_foraging_period_h"])
     assert got.mean_trips_per_sunshine_hour == pytest.approx(
         expect["mean_trips_per_sunshine_hour"]
     )

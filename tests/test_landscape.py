@@ -29,6 +29,7 @@ from beeloop.landscape import (
     Patch,
     PatchParams,
     RegionTiling,
+    artificial_nectar,
     artificial_patches,
     derive_patches,
     parse_map,
@@ -37,7 +38,7 @@ from beeloop.landscape import (
     tile_regions,
     with_artificial,
 )
-from beeloop.rng import generator
+from beeloop.rng import generator, ordered_sum
 from beeloop.scouting import ScoutReport, write_coverage_csv
 
 from conftest import make_map, tiled_grid
@@ -359,7 +360,7 @@ def ref_derive_patches(grid, params=PatchParams()):
     def build(members, pid, artificial, detect, nectar, pollen):
         xs = [(c + 0.5) * cs for _, c in members]
         ys = [(r + 0.5) * cs for r, _ in members]
-        centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
+        centroid = (ordered_sum(xs) / len(xs), ordered_sum(ys) / len(ys))
         flat = tuple(sorted(r * grid.width + c for r, c in members))
         return Patch(
             id=pid,
@@ -387,7 +388,7 @@ def ref_derive_patches(grid, params=PatchParams()):
             )
         )
     mean_crop_nectar = (
-        sum(p.nectar_quantity for p in patches) / len(patches) if patches else 0.0
+        ordered_sum(p.nectar_quantity for p in patches) / len(patches) if patches else 0.0
     )
     for members in ref_connected_components(grid.cells == ARTIFICIAL):
         patches.append(
@@ -661,14 +662,15 @@ def test_crop_once_plus_artificial_patches_is_derive_patches(
     picks = np.random.Generator(np.random.Philox(key=seed)).permutation(len(empty))[:n_new]
     edited = with_artificial(grid, [(int(empty[i, 1]), int(empty[i, 0])) for i in picks])
     want = ref_derive_patches(edited, params)
-    assert crop + artificial_patches(edited, crop, params) == want
+    nectar = artificial_nectar(crop, params)
+    assert crop + artificial_patches(edited, len(crop), nectar, params) == want
     assert derive_patches(edited, params) == want
 
 
 def test_crop_once_plus_large_artificial_components(tiled):
     crop = crop_of(derive_patches(tiled))
     beacons = beacon_grid(tiled)
-    artificial = artificial_patches(beacons, crop)
+    artificial = artificial_patches(beacons, len(crop), artificial_nectar(crop, PatchParams()))
     assert max(len(p.cell_members) for p in artificial) > 100
     assert crop + artificial == derive_patches(beacons)
 

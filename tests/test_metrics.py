@@ -25,7 +25,7 @@ def record(detected_fraction=0.3, total_visits=1000, natural_ids=(0, 1, 2, 3),
     totals = SeasonTotals(
         total_visits=total_visits,
         total_trips=total_visits,
-        mean_foraging_period=6.0,
+        mean_foraging_period_h=6.0,
         mean_trips_per_sunshine_hour=10.0,
         detected_patch_count=len(detected_ids),
         natural_patch_count=len(natural_ids),

@@ -1,10 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from beeloop.rng import generator, mix64, mix64_array
+from beeloop.control import RegionFeatures, SoftmaxClassifier
+from beeloop.foraging import DayRecord, aggregate_totals
+from beeloop.landscape import PatchParams, artificial_nectar
+from beeloop.monitor import LinearModel, predict
+from beeloop.rng import generator, mix64, mix64_array, ordered_sum
+from beeloop.scouting import ScoutReport
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -87,3 +93,47 @@ def test_mix64_array_on_0d_input(value):
     out = mix64_array(value)
     assert out.dtype == np.uint64 and out.shape == ()
     assert int(out) == mix64(5)
+
+
+# Added left to right these terms give 0.0; the built-in ``sum`` of Python
+# 3.12 and later compensates the rounding and gives 1.0.
+CANCELLING = [1e16, 1.0, -1e16]
+
+
+def test_ordered_sum_adds_left_to_right():
+    assert ordered_sum(CANCELLING) == 0.0
+    assert ordered_sum([]) == 0
+    arrays = ordered_sum(np.array([t]) for t in CANCELLING)
+    assert arrays.tolist() == [0.0]
+    assert ordered_sum(np.float64(t) for t in CANCELLING) == 0.0
+
+
+
+def _season_totals(days):
+    report = ScoutReport(np.zeros((1, 1), dtype=np.int64), frozenset(), 0.0, 0.0)
+    return aggregate_totals(days, report, set())
+
+
+ORDERED_SUM_SITES = {
+    "mean_foraging_period_h": lambda t: _season_totals(
+        [DayRecord(day, x, 0, 0, 0.0) for day, x in enumerate(t, 1)]
+    ).mean_foraging_period_h,
+    "mean_trips_per_sunshine_hour": lambda t: _season_totals(
+        [DayRecord(day, 0.0, 0, 0, x) for day, x in enumerate(t, 1)]
+    ).mean_trips_per_sunshine_hour,
+    "artificial_nectar": lambda t: artificial_nectar(
+        [SimpleNamespace(nectar_quantity=x) for x in t],
+        PatchParams(artificial_nectar_fraction=1.0),
+    ),
+    "monitor_predict": lambda t: predict(LinearModel(tuple(t), 0.0, 0.0), (1.0,) * len(t)),
+    "softmax_scores": lambda t: SoftmaxClassifier(
+        (tuple(t),) * 3, (0.0,) * 3, (0.0,) * 3, (1.0,) * 3
+    ).scores(RegionFeatures(0, 1.0, 1.0, 1.0))[0],
+}
+
+
+@pytest.mark.parametrize("site", sorted(ORDERED_SUM_SITES))
+def test_artifact_sums_add_left_to_right(site):
+    """Every float sum that reaches an artifact gives the left-to-right value,
+    whatever the interpreter's built-in ``sum`` does."""
+    assert ORDERED_SUM_SITES[site](CANCELLING) == 0.0

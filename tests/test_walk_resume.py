@@ -16,6 +16,8 @@ from beeloop.landscape import (
     EMPTY,
     OBSTACLE,
     CellGrid,
+    PatchParams,
+    artificial_nectar,
     artificial_patches,
     derive_patches,
     load_map,
@@ -48,7 +50,7 @@ POOL = [
 
 def landscape(cells):
     grid = with_artificial(DESK, cells)
-    return grid, CROP + artificial_patches(grid, CROP)
+    return grid, CROP + artificial_patches(grid, len(CROP), artificial_nectar(CROP, PatchParams()))
 
 
 def season(cells, ctrl, seed, params=SCOUTS, log=None):
