@@ -29,7 +29,7 @@ def main() -> None:
 
     # With one seed the 9 h walk is the prefix of the 16 h one, so one walk
     # read at both step counts gives both.
-    steps9, steps16 = (int(round(h * params.steps_per_hour)) for h in (9.0, 16.0))
+    steps9, steps16 = params.steps(9.0), params.steps(16.0)
     rows = []
     t0 = time.monotonic()
     for seed in range(1, n_seeds + 1):

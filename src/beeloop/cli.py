@@ -12,29 +12,15 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .control import (
-    synthetic_region_sample,
-    train_softmax,
-    write_labels_csv,
-    write_proposals_csv,
-)
+from .control import pretrained_softmax, write_labels_csv, write_proposals_csv
 from .errors import MissingArtifactsError, SimError, read_utf8, write_utf8
 from .foraging import SEASON_COLUMNS, run_season, write_season_csv, write_totals
 from .landscape import derive_patches, load_map, write_foodflow
 from .metrics import compare, write_comparison_csv
-from .monitor import (
-    MonitorSample,
-    day_features,
-    fit,
-    r_squared,
-    save_model,
-    split_samples,
-)
-from .rng import derive_seed
+from .monitor import fit, r_squared, save_model, season_samples, split_samples
 from .scouting import write_coverage_csv, write_trajectories_csv
 from .supervisor import run_fi_loop, write_fi_plan_csv, write_loop_trace_csv
 
-SOFTMAX_TRAIN_SIZE = 600
 TEST_FRACTION = 0.2
 
 
@@ -45,9 +31,7 @@ def default_config_path() -> Path:
 def _build_classifier(scenario):
     if scenario.classifier_kind == "threshold":
         return scenario.thresholds
-    seed = derive_seed(scenario.seed, "classifier")
-    sample = synthetic_region_sample(SOFTMAX_TRAIN_SIZE, seed, scenario.thresholds)
-    return train_softmax(sample, seed)
+    return pretrained_softmax(scenario.seed, scenario.thresholds)
 
 
 def _write_season(out: Path, season, suffix: str = "") -> None:
@@ -149,13 +133,10 @@ def cmd_train_monitor(scenario, season_csv: Path | None) -> int:
     path = season_csv if season_csv is not None else scenario.out_dir / "season.csv"
     records = _read_season_csv(path, ("total_visits",))
     weather = config_mod.weather_for(scenario)
-    samples = [
-        MonitorSample(
-            day_features(weather.day(int(r["day"])), None, scenario.settings.cap_h(None)),
-            float(r["total_visits"]),
-        )
-        for r in records
-    ]
+    samples = season_samples(
+        weather, ((int(r["day"]), r["total_visits"]) for r in records), None,
+        scenario.settings.cap_h(None),
+    )
     train, test = split_samples(samples, TEST_FRACTION, scenario.seed)
     model = fit(train)
     out = scenario.out_dir

@@ -2,7 +2,8 @@
 
 Regions are labeled Low / Normal / High from their coverage fraction. The
 reference rule is a pair of thresholds; a trained softmax classifier over
-region features is available as a drop-in alternative. Under-covered regions
+region features is available as a drop-in alternative, and
+``pretrained_softmax`` is the one a run uses. Under-covered regions
 get one proposed artificial patch each, placed on the corridor from the hive
 toward the region centroid as a stepping stone, not a destination.
 """
@@ -17,13 +18,15 @@ import numpy as np
 
 from .errors import ClassImbalanceError, TilingMismatchError, write_utf8
 from .landscape import ARTIFICIAL, CellGrid, EMPTY, RegionTiling, region_centroids_m
-from .rng import generator, ordered_sum
+from .rng import derive_seed, generator, ordered_sum
 
-# The softmax trainer's fixed recipe: step size, full-batch epochs, and the
-# fewest samples of each label it trains on.
+# The softmax trainer's fixed recipe: step size, full-batch epochs, the
+# fewest samples of each label it trains on, and the synthetic regions a
+# pre-trained classifier learns from.
 SOFTMAX_LEARNING_RATE = 0.1
 SOFTMAX_EPOCHS = 500
 SOFTMAX_MIN_PER_CLASS = 10
+SOFTMAX_TRAIN_SIZE = 600
 
 
 class CoverageLabel(IntEnum):
@@ -213,6 +216,14 @@ def synthetic_region_sample(
         f = RegionFeatures(i, density, coverage, distance)
         out.append((f, classify(thresholds, f)))
     return out
+
+
+def pretrained_softmax(seed: int, thresholds: ThresholdClassifier) -> SoftmaxClassifier:
+    """The softmax variant a run classifies with: ``SOFTMAX_TRAIN_SIZE``
+    synthetic regions labeled by ``thresholds``, sampled and trained under
+    the run seed's ``"classifier"`` seed."""
+    seed = derive_seed(seed, "classifier")
+    return train_softmax(synthetic_region_sample(SOFTMAX_TRAIN_SIZE, seed, thresholds), seed)
 
 
 def propose_patches(

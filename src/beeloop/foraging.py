@@ -188,9 +188,7 @@ def run_season(
 
     scout_seed = derive_seed(seed, "scout")
     hours_by_day = {d: foraging_hours(weather.day(d), ctrl, cap_hours) for d in refresh_days}
-    steps_by_day = {
-        d: int(round(h * scout_params.steps_per_hour)) for d, h in hours_by_day.items()
-    }
+    steps_by_day = {d: scout_params.steps(h) for d, h in hours_by_day.items()}
     refresh_steps = list(steps_by_day.values())
     report = simulate_at_checkpoints(
         grid, patches, scout_params, refresh_steps, scout_seed, collect_trajectories, log

@@ -4,7 +4,9 @@ Features are (max temperature, effective light hours, sin and cos of the day
 angle); the seasonal harmonics absorb the day-of-year trend so the
 temperature and light coefficients stay interpretable for control search.
 Fitting is plain ordinary least squares by normal equations, with a tiny
-ridge retry when the design is singular.
+ridge retry when the design is singular. ``season_samples`` builds the
+samples from a season's days, for the feedback loop and ``train-monitor``
+alike.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     write_utf8,
 )
 from .rng import generator, ordered_sum
-from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, control_effect
+from .weather import DAYS_PER_YEAR, DayWeather, EnvControl, WeatherSeries, control_effect
 
 FEATURE_NAMES = ("max_temp_c", "light_h", "day_sin", "day_cos")
 RIDGE_LAMBDA = 1e-8
@@ -51,6 +53,16 @@ def day_features(dw: DayWeather, ctrl: EnvControl | None, cap: float) -> tuple[f
         math.sin(angle),
         math.cos(angle),
     )
+
+
+def season_samples(
+    weather: WeatherSeries, day_visits, ctrl: EnvControl | None, cap: float
+) -> list[MonitorSample]:
+    """One sample per (day, visits) pair: the day's features under ``ctrl``
+    and its visits as a float target."""
+    return [
+        MonitorSample(day_features(weather.day(d), ctrl, cap), float(v)) for d, v in day_visits
+    ]
 
 
 def fit(samples: list[MonitorSample]) -> LinearModel:
@@ -123,7 +135,7 @@ def split_samples(
 
 
 def save_model(path, model: LinearModel) -> None:
-    """Flat text serialization; floats use repr so reload is exact."""
+    """Flat text serialization; floats use repr, so ``float`` of each value gives it back."""
     write_utf8(path, [
         "features: " + ",".join(FEATURE_NAMES[: len(model.coefficients)]) + "\n",
         *(f"coef.{name}: {coef!r}\n" for name, coef in zip(FEATURE_NAMES, model.coefficients)),
@@ -131,19 +143,3 @@ def save_model(path, model: LinearModel) -> None:
         f"r_squared_train: {model.r_squared_train!r}\n",
     ])
 
-
-def load_model(path) -> LinearModel:
-    coefs: list[float] = []
-    intercept = 0.0
-    r2 = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if key.startswith("coef."):
-                coefs.append(float(value))
-            elif key == "intercept":
-                intercept = float(value)
-            elif key == "r_squared_train":
-                r2 = float(value)
-    return LinearModel(tuple(coefs), intercept, r2)

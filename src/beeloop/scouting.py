@@ -95,6 +95,10 @@ class ScoutParams:
         if not (0.0 < self.turn_sigma <= math.pi and 0.0 < self.bias_sigma <= math.pi):
             raise ValueError("turn_sigma and bias_sigma must be in (0, pi]")
 
+    def steps(self, hours: float) -> int:
+        """The steps a walk of ``hours`` takes, rounded to the nearest."""
+        return int(round(hours * self.steps_per_hour))
+
 
 @dataclass(frozen=True)
 class ScoutReport:
@@ -556,8 +560,9 @@ def run_scouting(
     """Run one scouting pass of hours * steps_per_hour steps."""
     if hours < 0:
         raise ValueError("hours must be non-negative")
-    steps = int(round(hours * params.steps_per_hour))
-    return simulate_at_checkpoints(grid, patches, params, [steps], seed, collect_trajectories)
+    return simulate_at_checkpoints(
+        grid, patches, params, [params.steps(hours)], seed, collect_trajectories
+    )
 
 
 def write_coverage_csv(path, report: ScoutReport) -> None:

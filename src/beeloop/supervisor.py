@@ -48,7 +48,8 @@ from .landscape import (
     tile_regions,
     with_artificial,
 )
-from .monitor import FEATURE_NAMES, LinearModel, MonitorSample, day_features, fit, predict
+from .metrics import WEIGHT_SUM_TOL
+from .monitor import FEATURE_NAMES, LinearModel, day_features, fit, predict, season_samples
 from .scouting import ScoutParams, WalkLog
 from .weather import EnvControl, WeatherSeries
 
@@ -72,7 +73,7 @@ class UserConfig:
     w2: float = 0.5
 
     def __post_init__(self):
-        if not (self.w1 >= 0 and self.w2 >= 0 and abs(self.w1 + self.w2 - 1.0) <= 1e-9):
+        if not (self.w1 >= 0 and self.w2 >= 0 and abs(self.w1 + self.w2 - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("weights must be non-negative and sum to 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -281,14 +282,10 @@ def run_fi_loop(
         coefficients or the same visits every day (an enclosed hive, no
         crop), gives no control.
         """
-        cap = settings.cap_h(incumbent.ctrl)
-        samples = [
-            MonitorSample(
-                day_features(weather.day(d.day), incumbent.ctrl, cap),
-                float(d.visits),
-            )
-            for d in incumbent.season.days
-        ]
+        samples = season_samples(
+            weather, ((d.day, d.visits) for d in incumbent.season.days), incumbent.ctrl,
+            settings.cap_h(incumbent.ctrl),
+        )
         visits = [s.target for s in samples]
         if len(samples) < len(FEATURE_NAMES) + 1 or min(visits) == max(visits):
             return None

@@ -63,9 +63,6 @@ class WeatherSeries:
             raise OutOfRangeValueError(f"day {day} outside 1..{DAYS_PER_YEAR}")
         return self.days[day - 1]
 
-    def __len__(self) -> int:
-        return len(self.days)
-
 
 @dataclass(frozen=True)
 class ClimateProfile:
@@ -116,13 +113,6 @@ def load_weather(text: str) -> WeatherSeries:
         if day not in by_day:
             raise MissingDayError(f"day {day} missing")
     return WeatherSeries([by_day[d] for d in range(1, DAYS_PER_YEAR + 1)])
-
-
-def serialize_weather(series: WeatherSeries) -> str:
-    out = ["day,max_temp_c,sunshine_h"]
-    for dw in series.days:
-        out.append(f"{dw.day},{dw.max_temp!r},{dw.sunshine_hours!r}")
-    return "\n".join(out) + "\n"
 
 
 def synth_weather(seed: int, profile: ClimateProfile = ClimateProfile()) -> WeatherSeries:

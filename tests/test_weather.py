@@ -8,7 +8,6 @@ from beeloop.weather import (
     EnvControl,
     foraging_hours,
     load_weather,
-    serialize_weather,
     synth_weather,
 )
 
@@ -25,7 +24,7 @@ def full_year(temp=18.0, sun=8.0):
 
 def test_load_full_year():
     series = load_weather(csv_for(full_year()))
-    assert len(series) == 365
+    assert len(series.days) == 365
     assert series.day(100).max_temp == 18.0
 
 
@@ -62,9 +61,10 @@ def test_load_requires_header():
         load_weather("1,18.0,8.0\n")
 
 
-def test_roundtrip_serialize_load():
+def test_roundtrip_csv_load():
     series = synth_weather(7)
-    assert load_weather(serialize_weather(series)) == series
+    rows = [(dw.day, repr(dw.max_temp), repr(dw.sunshine_hours)) for dw in series.days]
+    assert load_weather(csv_for(rows)) == series
 
 
 def test_synth_deterministic():
