@@ -20,14 +20,13 @@ causal effects. Movement draws come from a Philox stream in the same block
 every step, whatever the scouts do: n standard normals (turn noise), then
 n x 4 raw 64-bit words, all of them always consumed. Only a blocked scout
 converts its words into retry directions (``_retry``). Episode draws are
-computed by hashing (seed, scout, patch id, step), so they are
-order-independent. Adding a patch that takes the last id therefore leaves
-every scout's walk bitwise unchanged until some scout actually senses it.
-Any other added patch does not: ``derive_patches`` numbers patches in scan
-order, crop first, so the new one renumbers every patch after it and
-re-rolls their draws. The feedback loop meets this with beacons: on the
-desk map at seed 7, a beacon at (0, 0) added to one at (36, 34) moves the
-old one from id 245 to 246, and the walks differ from step 2.
+computed by hashing (seed, scout, patch key, step), so they are
+order-independent. A crop patch's key is its id; an artificial patch's is
+2**32 plus its smallest member cell, which stays put when
+``derive_patches`` renumbers it. An added beacon that joins no other
+therefore leaves every scout's walk bitwise unchanged until some scout
+actually senses it, wherever it falls in scan order. An edit to the crop
+still renumbers the later crop ids and re-rolls their draws.
 
 The walk is vectorized over scouts: each step is a fixed sequence of array
 operations over all of them, with no per-scout Python loop. Three rules keep
@@ -431,9 +430,14 @@ def simulate_at_checkpoints(
     centroid[:, ids] = xy.reshape(-1, 2).T / grid.cell_size
     centroid_x, centroid_y = centroid
     # Episode draw mix64(mix64(mix64(key ^ mix64(scout)) ^ mix64(patch)) ^
-    # mix64(step)): the scout and patch terms are hashed once per walk.
+    # mix64(step)): the scout and patch terms are hashed once per walk. The
+    # patch term is a crop patch's id and 2**32 + an artificial patch's
+    # smallest member cell, which no added patch renumbers.
     scout_hash = mix64_array(np.uint64(episode_key) ^ mix64_array(np.arange(n, dtype=np.uint64)))
-    patch_hash = mix64_array(np.arange(n_ids, dtype=np.uint64))
+    token = np.arange(n_ids, dtype=np.uint64)
+    beacons = [p for p in patches if p.artificial]
+    token[[p.id for p in beacons]] = [2**32 + p.cell_members[0] for p in beacons]
+    patch_hash = mix64_array(token)
     found_at = np.zeros(n_ids, dtype=np.int32)  # step of each id's first detection
 
     leash_cells = params.max_range / grid.cell_size

@@ -2,15 +2,17 @@ import hashlib
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from beeloop import scouting
 from beeloop.cli import main as cli_main
 from beeloop.errors import OutOfRangeValueError
 from beeloop.landscape import (
+    EMPTY,
     PatchParams,
     derive_patches,
     parse_map,
@@ -179,6 +181,53 @@ def test_artificial_corridor_patch_raises_far_coverage():
     assert mean_guided > mean_base
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    offsets=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                     min_size=2, max_size=3, unique=True),
+    seed=st.integers(0, 2**64 - 1),
+    pick=st.integers(0, 2**32),
+)
+@example(offsets=[(0, 2), (6, -3)], seed=7, pick=0)
+def test_unsensed_beacon_leaves_every_walk_unchanged(desk_grid, offsets, seed, pick):
+    """A beacon that renumbers the base beacons, but that no scout of the base
+    walk senses, changes no walk: episode draws key a beacon by its cells."""
+    hx, hy = desk_grid.hive_cell
+    cells = [(hx + dx, hy + dy) for dx, dy in offsets]
+    assume(all(desk_grid.cells[r, c] == EMPTY for c, r in cells))
+    base = with_artificial(desk_grid, cells)
+    base_patches = derive_patches(base)
+    params = ScoutParams()
+    walk = run_scouting(base, base_patches, params, 9.0, seed, collect_trajectories=True)
+
+    # Candidates: empty cells before the last base beacon in scan order, each
+    # tried as a one-cell patch of its own.
+    last = max(p.cell_members[0] for p in base_patches if p.artificial)
+    beacon = next(p for p in base_patches if p.artificial)
+    singles = [replace(beacon, id=i, cell_members=(f,))
+               for i, f in enumerate(np.flatnonzero(base.cells.ravel()[:last] == EMPTY).tolist())]
+    keys = build_sensing_map(base, singles, params.detection_radius)
+    stood = walk.coverage.ravel() != 0
+    sensed = set((keys[stood[keys >> 32]] & 0xFFFFFFFF).tolist())
+    unsensed = [s.cell_members[0] for s in singles if s.id not in sensed]
+    assume(unsensed)
+    added = unsensed[pick % len(unsensed)]
+
+    grown = with_artificial(base, [(added % base.width, added // base.width)])
+    grown_patches = derive_patches(grown)
+    assume(len(grown_patches) == len(base_patches) + 1)  # not joined to a base beacon
+    ids = {p.cell_members: p.id for p in grown_patches}
+    assert any(ids[p.cell_members] != p.id for p in base_patches)  # renumbered
+    again = run_scouting(grown, grown_patches, params, 9.0, seed, collect_trajectories=True)
+    assert again.coverage.tobytes() == walk.coverage.tobytes()
+    assert again.trajectories.tobytes() == walk.trajectories.tobytes()
+
+    def members(rep, patches):
+        return {patches[i].cell_members for i in rep.detected_patch_ids}
+
+    assert members(again, grown_patches) == members(walk, base_patches)
+
+
 def test_scout_params_validation():
     with pytest.raises(ValueError):
         ScoutParams(n_scouts=0)
@@ -215,7 +264,9 @@ def test_negative_hours_rejected(desk_grid, desk_patches):
 # its coverage bytes, its sorted detected ids and its trajectory bytes. By
 # prefix extension that is the one-checkpoint walk of that length. They were
 # recorded from the per-scout reference walk; a vectorized walk must
-# reproduce them byte for byte.
+# reproduce them byte for byte. The "beacons" pins were re-recorded when an
+# artificial patch's episode draws came to be keyed by its smallest member cell
+# instead of its id.
 PIN_CHECKPOINTS = [0, 50, 120, 216]
 BEACON_CELLS = [(40, 32), (41, 32), (28, 32), (36, 36), (42, 34), (30, 27)]
 
@@ -248,11 +299,11 @@ def pin_worlds(desk_grid, desk_patches):
 
 
 PINNED_WALKS = {
-    ("beacons", 1): "7f600368746bbeb2cadd5fed9a91696d4a7e4f50026555863e107f500a5ef227",
-    ("beacons", 7): "faf40d7e9cb681853d2b970eb7b7f85650fcc65cef5f682ab2f311dc5d312413",
-    ("beacons", 42): "22179bbbd8efbc910bb3b90c987b42e9fbb596a293e4b587540c303254a540d2",
-    ("beacons", 123456789): "c3e0d8e37dc60f39623c290422d483d63df5240e3bccf1484032c6688c3e9126",
-    ("beacons", 2**64 - 1): "dcdb6c0a17cd5c26f0a657c55e1b8a8863dbc9544de080027f6233b7f85411d6",
+    ("beacons", 1): "14917c62d7f4be27bee216ccf592d62c8c2416f770f3f81def28280091cc1229",
+    ("beacons", 7): "b578de21b890dc8385a691e44bc3de24d6cfb69e2187a2c18833027a3002de4f",
+    ("beacons", 42): "f54a17985cf973534a23cfd09e0bdf410d439d48bb16d102cc900def48f6f67b",
+    ("beacons", 123456789): "aba9c517edc7bc39187a13a5d7e46cabb9c4bf9cda1c374137ba8ea9a449cf40",
+    ("beacons", 2**64 - 1): "95c020230988f3b8a57d489295219c9a3e45183185b4470a6878a386ec298523",
     ("desk1", 1): "a11a4d251bd58ac01a92cedca08b778d384ee0a9558e25aa67b9a69435ce3a9b",
     ("desk1", 7): "cc994869d444b417bd360de506562e810ca99ac5055d9352b85e6e92bcb23f8d",
     ("desk1", 42): "9227a45ae2d823b0c9ca981373808703828756ba46672111b1402ddd466628fa",
