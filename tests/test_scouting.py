@@ -264,9 +264,8 @@ def test_negative_hours_rejected(desk_grid, desk_patches):
 # its coverage bytes, its sorted detected ids and its trajectory bytes. By
 # prefix extension that is the one-checkpoint walk of that length. They were
 # recorded from the per-scout reference walk; a vectorized walk must
-# reproduce them byte for byte. The "beacons" pins were re-recorded when an
-# artificial patch's episode draws came to be keyed by its smallest member cell
-# instead of its id.
+# reproduce them byte for byte, except the "beacons" ones, which hold the
+# walk with each beacon's episode draws keyed by its smallest member cell.
 PIN_CHECKPOINTS = [0, 50, 120, 216]
 BEACON_CELLS = [(40, 32), (41, 32), (28, 32), (36, 36), (42, 34), (30, 27)]
 
