@@ -8,7 +8,8 @@ seed, one pair per seed. The side that runs first alternates from pair to
 pair, so a drift in machine speed does not favour either side. It writes the
 per-side values, median and quartiles of every end-to-end metric listed in
 ``BENCHMARK.json``, in how many pairs the working tree was better, the median
-of the per-pair working-tree/base ratios, and a verdict, to one JSON file:
+of the per-pair working-tree/base ratios, a verdict and a gain, to one JSON
+file:
 
     python scripts/bench_pair.py --base HEAD --seeds 1:10 --seconds 10 --out BENCH.json
 
@@ -18,6 +19,11 @@ is worse than the base median by more than the margin. ``unresolved``: the
 base runs' interquartile range exceeds the margin, and not every working-tree
 run beats every base run. ``no_worse``: any other case. The ``worse`` and
 ``unresolved`` entries are also printed to stderr.
+
+The gain reads ``met`` when the working tree is better in at least nine
+tenths of the pairs, ties counting for neither side, and its median beats
+the base median by more than the base runs' interquartile range; otherwise
+``not_met``.
 
 The two runs of a pair follow each other, so their ratio cancels a drift in
 machine speed between pairs, which the median of each side does not. Compare
@@ -99,6 +105,15 @@ def verdict(base: list[float], change: list[float], bound: float, lower: bool) -
     return "no_worse"
 
 
+def gain(base: list[float], change: list[float], lower: bool) -> str:
+    """``met`` or ``not_met`` for one metric's paired runs, as above."""
+    wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+    base_s = summary(base)
+    shift = statistics.median(change) - base_s["median"]
+    beats = (-shift if lower else shift) > base_s["iqr"]
+    return "met" if wins >= 0.9 * len(base) and beats else "not_met"
+
+
 def seed_list(text: str) -> list[int]:
     if ":" in text:
         lo, hi = (int(part) for part in text.split(":"))
@@ -169,6 +184,7 @@ def main() -> int:
                         c / b for b, c in zip(base, change)
                     ),
                     "verdict": verdict(base, change, m["bound"], lower),
+                    "gain": gain(base, change, lower),
                 }
             out["workloads"][workload] = entry
             for name, result in entry["metrics"].items():

@@ -44,7 +44,7 @@ passes logs, so a plain walk pays for none of this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -55,8 +55,11 @@ from .rng import derive_seed, generator, mix64, mix64_array
 
 _MAX_STEP_RETRIES = 4
 _U64_SCALE = 1.0 / 2.0**64
-# (member cell, offset) entries ``build_sensing_map`` expands at once.
-_SENSING_CHUNK = 1 << 18
+# (member cell, offset) entries ``build_sensing_map`` expands at once: a
+# memory budget of 256 KiB per int64 temporary. A map that fits one chunk
+# is expanded whole, so a larger chunk lets a large map's temporaries, not
+# its keys, set the build's peak.
+_SENSING_CHUNK = 1 << 15
 _ID_MASK = 0xFFFFFFFF  # the patch id field of a sensing key
 _SAVE_EVERY = 16  # steps between the walk states a ``WalkLog`` saves
 # A 24 h day of steps must fit the int32 first-detection steps.
@@ -138,7 +141,8 @@ def build_sensing_map(grid: CellGrid, patches: list[Patch], radius: float) -> np
     A patch is sensed on every cell within ``radius`` cells of one of its
     members. The 32-bit id field needs fewer than 2**31 cells and fewer than
     2**32 patch ids. Members are expanded ``_SENSING_CHUNK`` (member, offset)
-    entries at a time, so memory follows the keys, not members times offsets.
+    entries at a time, so each int64 temporary of the expansion holds at
+    most 256 KiB and memory follows the keys, not members times offsets.
     """
     # No offset longer than the grid's larger side lands on the grid, so the
     # cap leaves every row as it is and bounds the offsets of a huge radius.
@@ -171,6 +175,48 @@ def build_sensing_map(grid: CellGrid, patches: list[Patch], radius: float) -> np
     return _sorted_distinct(np.concatenate(parts))
 
 
+def _draw_key(patch: Patch) -> int:
+    """The key a patch's episode draws hash and a resumed walk matches it by:
+    a crop patch's id, 2**32 plus an artificial patch's smallest member cell."""
+    return 2**32 + patch.cell_members[0] if patch.artificial else patch.id
+
+
+def _match(old: dict, new: dict):
+    """Two walks' patches, each by draw key, matched: ``(moved, to_new,
+    added)``, or None where the match would reorder ids.
+
+    ``moved`` and ``to_new`` are indexed by old id: the patches that differ
+    or are gone, and each id's new id. ``added`` holds the new patches that
+    differ or are new. A patch under the same key with equal fields but a new
+    id is renamed, not moved. A scout locks onto the lowest id it detects, so
+    renaming must keep the order of ids, as ``derive_patches``'s scan-order
+    ids do.
+    """
+    size = max((p.id for p in chain(old.values(), new.values())), default=0) + 1
+    moved, to_new, added = np.zeros(size, dtype=bool), np.arange(size), []
+    renamed = False
+    for k, p in new.items():
+        q = old.get(k)
+        # ``is`` first: a candidate shares its unchanged patches with its base,
+        # and comparing thousands of them field by field costs milliseconds.
+        if q is p or q == p:
+            continue
+        if q is not None and replace(q, id=p.id) == p:
+            to_new[q.id], renamed = p.id, True
+            continue
+        added.append(p)
+        if q is not None:
+            moved[q.id] = True
+    for k, q in old.items():
+        if k not in new:
+            moved[q.id] = True
+    if renamed:
+        kept = sorted(q.id for q in old.values() if not moved[q.id])
+        if (np.diff(to_new[kept]) <= 0).any():
+            return None
+    return moved, to_new if renamed else None, added
+
+
 class WalkLog:
     """What one walk records so that a later walk can resume from it.
 
@@ -195,10 +241,12 @@ class WalkLog:
     - ``rows``: the walk's sensing map, the sorted keys ``cell << 32 | id``
       that ``build_sensing_map`` gives.
 
-    It also keeps the walk's patches by id and the key a resume is checked
-    against. One rule decides a resume: the moved ids, those whose patch
-    differs between ``base``'s walk and this one or exists in only one. They
-    pick both the keys rebuilt and the resume step.
+    It also keeps the walk's patches by draw key (``_draw_key``) and the key a
+    resume is checked against. One rule decides a resume: the moved patches,
+    those whose key holds a different patch in ``base``'s walk and this one,
+    or exists in only one. They pick both the keys rebuilt and the resume
+    step. A beacon that an added one renumbers keeps its key: it is renamed,
+    and its ids are rewritten, not rebuilt.
     """
 
     def __init__(self, base: WalkLog | None = None):
@@ -208,30 +256,32 @@ class WalkLog:
         """Build the walk's sensing map; take over ``base``'s prefix if it can.
 
         Returns the keys and the resume step r. The keys are ``base``'s
-        without those that hold a moved id, with the keys of this walk's moved
-        patches inserted in order. r is the last state saved before a scout
-        of ``base`` first stands on a cell that holds a moved id in either
-        walk's map, so detections up to r hold no moved id.
+        without those that hold a moved patch, renamed ids rewritten, with
+        the keys of this walk's moved patches inserted in order. r is the last
+        state saved before a scout of ``base`` first stands on a cell that
+        holds a moved patch in either walk's map, so detections up to r hold
+        no moved patch. The prefix's first-detection steps and targets move
+        to the renamed ids.
         """
         radius = params.detection_radius
         key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell,
                obstacles.tobytes())
         base, self.base = self.base, None  # released: logs do not chain
-        self.key, self.patches = key, {p.id: p for p in patches}
+        self.key, self.patches = key, {_draw_key(p): p for p in patches}
         self.resumed_at, self.states, self.cells, self.found_at = 0, {}, None, None
-        if base is None or base.key != key:
+        match = None if base is None or base.key != key else _match(base.patches, self.patches)
+        if match is None:
             self.rows = build_sensing_map(grid, patches, radius)
             return self.rows, 0
-        # ``is`` first: a candidate shares its unchanged patches with its base,
-        # and comparing thousands of them field by field costs milliseconds.
-        old, new = base.patches, self.patches
-        moved_ids = [j for j, p in new.items() if old.get(j) is not p and old.get(j) != p]
-        moved_ids += [j for j in old if j not in new]
-        moved = np.zeros(max(old.keys() | new.keys(), default=0) + 1, dtype=bool)
-        moved[moved_ids] = True
+        moved, to_new, added = match
         gone = moved[base.rows & _ID_MASK]
         kept = base.rows[~gone]
-        added = build_sensing_map(grid, [new[j] for j in moved_ids if j in new], radius)
+        if to_new is not None:  # in place: the renaming keeps the keys sorted
+            pid = kept & _ID_MASK
+            at = np.flatnonzero(to_new[pid] != pid)
+            kept[at] += to_new[pid[at]] - pid[at]
+            del pid
+        added = build_sensing_map(grid, added, radius)
         self.rows = np.insert(kept, np.searchsorted(kept, added), added)
         changed = np.zeros(grid.width * grid.height, dtype=bool)
         changed[base.rows[gone] >> 32] = changed[added >> 32] = True
@@ -241,6 +291,14 @@ class WalkLog:
         self.cells = base.cells[:start]
         self.found_at = np.where(base.found_at <= start, base.found_at, 0)
         self.states = {s: state for s, state in base.states.items() if s <= start}
+        if to_new is not None:
+            # Only kept or renamed patches are detected or targeted by r.
+            found = self.found_at.nonzero()[0]
+            self.found_at = np.zeros(to_new.size, dtype=np.int32)
+            self.found_at[to_new[found]] = base.found_at[found]
+            for s, (x, y, heading, target, dwell, rng) in self.states.items():
+                target = np.where(target >= 0, to_new[target], -1)
+                self.states[s] = (x, y, heading, target, dwell, rng)
         return self.rows, start
 
 
@@ -431,12 +489,11 @@ def simulate_at_checkpoints(
     centroid_x, centroid_y = centroid
     # Episode draw mix64(mix64(mix64(key ^ mix64(scout)) ^ mix64(patch)) ^
     # mix64(step)): the scout and patch terms are hashed once per walk. The
-    # patch term is a crop patch's id and 2**32 + an artificial patch's
-    # smallest member cell, which no added patch renumbers.
+    # patch term is its draw key, which no added beacon renumbers.
     scout_hash = mix64_array(np.uint64(episode_key) ^ mix64_array(np.arange(n, dtype=np.uint64)))
     token = np.arange(n_ids, dtype=np.uint64)
     beacons = [p for p in patches if p.artificial]
-    token[[p.id for p in beacons]] = [2**32 + p.cell_members[0] for p in beacons]
+    token[[p.id for p in beacons]] = [_draw_key(p) for p in beacons]
     patch_hash = mix64_array(token)
     found_at = np.zeros(n_ids, dtype=np.int32)  # step of each id's first detection
 
@@ -456,7 +513,7 @@ def simulate_at_checkpoints(
         x, y, heading, target, dwell, rng_state = (a.copy() for a in log.states[start])
         move_rng.bit_generator.state = rng_state
         prev_flat = log.cells[start - 1].astype(np.int64)
-        # Ids detected by the resume step are unchanged, so each is below n_ids.
+        # Ids detected by the resume step are kept or renamed, so below n_ids.
         prior = log.found_at[:n_ids]
         found_at[: prior.size] = prior
     elif log is not None:

@@ -671,6 +671,23 @@ def test_sensing_map_memory_follows_rows_not_members_times_offsets(desk_grid, de
     assert peak < 161 * 2**20 / 4
 
 
+def test_large_map_sensing_build_stays_within_its_chunk_budget(desk_grid):
+    """The 4x4 tiled desk has 23 520 crop member cells x 9 offsets at radius
+    1.8, 211 680 entries. Expanded in one chunk they peaked at 10.28 MiB of
+    traced allocations; chunks of 2**15 entries keep it near the 0.6 MiB of
+    distinct keys plus a few 256 KiB temporaries."""
+    grid = tiled_grid(desk_grid)
+    patches = derive_patches(grid)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        build_sensing_map(grid, patches, 1.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def ref_write_trajectories_csv(path, trajectories):
     """The per-row writer that first defined the ``paths.csv`` bytes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

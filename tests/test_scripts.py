@@ -159,6 +159,40 @@ def test_bench_pair_verdicts(monkeypatch, tmp_path, capsys):
     ]
 
 
+def test_bench_pair_gains(monkeypatch, tmp_path):
+    """A gain is met only by 9 of 10 pair wins and a median shift beyond the
+    base IQR, on the runs of ``test_bench_pair_verdicts``."""
+    module = load_script("bench_pair.py")
+    runs = {
+        "job_s_p50": {"base": [1.0] * 4, "change": [1.5] * 4},  # loses every pair
+        # wins 2 of 4 pairs
+        "setup_s": {"base": [0.5, 1.0, 1.5, 2.0], "change": [1.0, 1.2, 1.3, 1.4]},
+        "seeds_per_min": {"base": [100.0] * 4, "change": [110.0] * 4},  # base IQR 0
+        # wins every pair; the median falls by 23.5, the base IQR is 15
+        "peak_rss_mb": {"base": [50.0, 60.0, 70.0, 80.0], "change": [40.0, 41.0, 42.0, 43.0]},
+    }
+
+    def fake_bench(root, workload, seed, seconds, side):
+        values = {name: {"value": v[side][seed - 1]} for name, v in runs.items()}
+        return {"correct": True, "failed": 0, "metrics": values}
+
+    monkeypatch.setattr(module, "unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module, "bench", fake_bench)
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--base", "HEAD", "--workload", "desk_case",
+        "--seeds", "1:4", "--seconds", "1", "--out", str(out),
+    ])
+    assert module.main() == 0
+    metrics = json.loads(out.read_text(encoding="utf-8"))["workloads"]["desk_case"]["metrics"]
+    assert {name: m["gain"] for name, m in metrics.items()} == {
+        "job_s_p50": "not_met", "setup_s": "not_met",
+        "seeds_per_min": "met", "peak_rss_mb": "met",
+    }
+    # 4 wins of 4 pairs meet the 9/10 share; 3 of 4 would not
+    assert module.gain([1.0] * 4, [0.5, 0.5, 0.5, 1.0], lower=True) == "not_met"
+
+
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"
 
 

@@ -5,6 +5,8 @@ the reference throughout: a resumed candidate must give the same bytes in
 every season field and every per-checkpoint report.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,17 +67,20 @@ def pair_rule_resume_step(base_log, base_cells, cells, radius=SCOUTS.detection_r
     """The resume step a walk on ``cells`` takes from ``base_log``'s walk.
 
     Reference rule: the last state ``base_log`` saved before the first step at
-    which one of its scouts stands on a cell whose (cell, artificial id) pairs
-    differ between the two landscapes, or hold an artificial id whose patch
-    differs. A rule that resumes earlier is still correct, only slower, so
-    the output-equality checks alone cannot catch it.
+    which one of its scouts stands on a cell whose (cell, beacon key) pairs
+    differ between the two landscapes, or hold a beacon key whose patch
+    differs. A beacon's key is its smallest member cell, and its patch is
+    compared with the id set to 0, so a renumbered beacon is unchanged. A
+    rule that resumes earlier is still correct, only slower, so the
+    output-equality checks alone cannot catch it.
     """
 
     def artificial(beacons):
         grid, patches = landscape(beacons)
-        art = [p for p in patches if p.artificial]
-        rows = sensing_rows(build_sensing_map(grid, art, radius))
-        return {p.id: p for p in art}, {(c, j) for c, ids in rows.items() for j in ids}
+        art = {p.id: p for p in patches if p.artificial}
+        rows = sensing_rows(build_sensing_map(grid, list(art.values()), radius))
+        pairs = {(c, art[j].cell_members[0]) for c, ids in rows.items() for j in ids}
+        return {p.cell_members[0]: replace(p, id=0) for p in art.values()}, pairs
 
     old, before = artificial(base_cells)
     new, after = artificial(cells)
@@ -209,9 +214,7 @@ def test_renumbered_beacon_resume_equals_full_recompute():
     args = (cand_grid, cand_patches, WEATHER, ctrl, colony, 7, params, 7, 16.0)
     log = WalkLog(inc_log)
     assert run_season(*args, log=log) == run_season(*args)
-    # Id 246 now names (36, 34), two cells below the hive: the walks may part
-    # from step 2, so nothing of the incumbent's walk is reused.
-    assert log.resumed_at == 0
+    assert log.resumed_at == pair_rule_resume_step(inc_log, [(36, 34)], [(36, 34), (0, 0)]) == 216
 
 
 def test_crop_edit_resumes_like_a_beacon_edit():
@@ -276,3 +279,37 @@ def test_walk_that_differs_beyond_its_beacons_starts_from_step_zero(change):
     resumed = simulate_at_checkpoints(grid, patches, params, [0, 50], seed, log=log)
     assert log.resumed_at == 0
     assert resumed == simulate_at_checkpoints(grid, patches, params, [0, 50], seed)
+
+
+def test_renamed_beacon_keeps_its_detections_and_targets():
+    """Desk, seed 3, 500 m leash: the incumbent's beacon at (39, 32), id 245,
+    is found at step 2 and a scout is locked onto it at step 216. A beacon at
+    (0, 0), which no scout reaches, renumbers it to 246. The candidate
+    resumes at 216, so the carried first detection and target must follow the
+    new id."""
+    params = ScoutParams(n_scouts=30, max_range=500.0)
+    inc_log = WalkLog()
+    season([(39, 32)], None, 3, params, inc_log)
+    assert [p.id for p in landscape([(39, 32)])[1] if p.artificial] == [245]
+    assert inc_log.found_at[245] == 2
+    assert 245 in inc_log.states[216][3]
+    cand_log = WalkLog(inc_log)
+    resumed = season([(39, 32), (0, 0)], CONTROLS["mild"], 3, params, cand_log)
+    assert resumed == season([(39, 32), (0, 0)], CONTROLS["mild"], 3, params)
+    assert cand_log.resumed_at == 216 < final_step(cand_log)
+    assert cand_log.found_at[246] == 2
+
+
+def test_renaming_that_reorders_ids_walks_everything():
+    """Two diagonal beacons that swap ids would change which one a scout
+    locks onto first, so they count as moved and nothing is resumed. Resumed
+    with the swap taken as a renaming, this walk differs from its recompute."""
+    grid, patches = landscape([(36, 30), (37, 31)])
+    inc_log = WalkLog()
+    simulate_at_checkpoints(grid, patches, SCOUTS, [100], 0, log=inc_log)
+    a, b = patches[-2:]
+    swapped = patches[:-2] + [replace(a, id=b.id), replace(b, id=a.id)]
+    log = WalkLog(inc_log)
+    resumed = simulate_at_checkpoints(grid, swapped, SCOUTS, [50, 100], 0, log=log)
+    assert resumed == simulate_at_checkpoints(grid, swapped, SCOUTS, [50, 100], 0)
+    assert log.resumed_at == 0
