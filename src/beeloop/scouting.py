@@ -402,13 +402,6 @@ def _retry(x, y, words, step_len, walls):
     return heading, np.where(ok, px[scouts, first], x), np.where(ok, py[scouts, first], y)
 
 
-def _known(step, coverage, found_at, traversable) -> tuple[frozenset[int], float]:
-    """Detected ids and covered area fraction at ``step``, given the coverage then."""
-    detected = np.flatnonzero((found_at > 0) & (found_at <= step)).tolist()
-    visited = int(np.count_nonzero(coverage))
-    return frozenset(detected), visited / traversable if traversable else 0.0
-
-
 def _walk_state(x, y, heading, target, dwell, move_rng) -> tuple:
     """Copies of everything a step reads from the steps before it, bar the cell."""
     return (x.copy(), y.copy(), heading.copy(), target.copy(), dwell.copy(),
@@ -519,14 +512,21 @@ def simulate_at_checkpoints(
     elif log is not None:
         log.states[0] = _walk_state(x, y, heading, target, dwell, move_rng)
 
-    # Steps up to the resume step are read off the log's prefix and counted
-    # as the loop below counts a walked step; a fresh walk has only step 0.
     known: dict[int, tuple[frozenset[int], float]] = {}
+
+    def read(step, flat):
+        """Count ``step``'s cells ``flat`` and, at a checkpoint, what is known
+        then: the ids detected by ``step`` and the covered area fraction."""
+        np.add.at(coverage_flat, flat, weight[step])
+        if step in wanted:
+            detected = frozenset(np.flatnonzero((found_at > 0) & (found_at <= step)).tolist())
+            covered = int(np.count_nonzero(coverage)) / traversable if traversable else 0.0
+            known[step] = detected, covered
+
+    # Step 0 and the steps up to the resume step are read off the log; each
+    # walked step is read below, after its detections.
     for s in range(min(start, total_steps) + 1):
-        if s:
-            np.add.at(coverage_flat, log.cells[s - 1], weight[s])
-        if s in wanted:
-            known[s] = _known(s, coverage, found_at, traversable)
+        read(s, log.cells[s - 1] if s else [])
 
     for step in range(start + 1, total_steps + 1):
         # Per-step draws are a fixed block (n turn noises, n x retries raw
@@ -563,7 +563,6 @@ def simulate_at_checkpoints(
             trajectories[:, step - 1, 1] = y
 
         flat = y.astype(np.int64) * width + x.astype(np.int64)
-        np.add.at(coverage_flat, flat, weight[step])
         if log is not None:
             walked[step - 1] = flat
 
@@ -585,6 +584,7 @@ def simulate_at_checkpoints(
             lock = first[target[scout[first]] < 0]
             target[scout[lock]] = pid[lock]
             dwell[scout[lock]] = params.dwell_steps
+        read(step, flat)
         prev_flat = flat
 
         # Only attracted scouts count down. Idle ones hold dwell 0 and target
@@ -593,9 +593,6 @@ def simulate_at_checkpoints(
         np.putmask(target, dwell <= 0, -1)
         if log is not None and (step % _SAVE_EVERY == 0 or step == total_steps):
             log.states[step] = _walk_state(x, y, heading, target, dwell, move_rng)
-
-        if step in wanted:
-            known[step] = _known(step, coverage, found_at, traversable)
 
     if log is not None:
         log.cells, log.found_at = walked, found_at
