@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beeloop.cli import default_config_path
+from beeloop.config import load_scenario, weather_for
 from beeloop.foraging import ColonyParams, run_season
 from beeloop.landscape import (
     CROP as CROP_CELL,
@@ -313,3 +314,40 @@ def test_renaming_that_reorders_ids_walks_everything():
     resumed = simulate_at_checkpoints(grid, swapped, SCOUTS, [50, 100], 0, log=log)
     assert resumed == simulate_at_checkpoints(grid, swapped, SCOUTS, [50, 100], 0)
     assert log.resumed_at == 0
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_every_grid_control_season_is_a_read_of_one_log(seed):
+    """A season under any control is a read of one log: the desk season
+    recorded under the strongest grid control, whose refresh steps are the
+    longest of any, gives each 7x7 grid control's season and the
+    uncontrolled one, each without walking a step."""
+    scenario = load_scenario(default_config_path(), seed)
+    grid = load_map(scenario.map_path)
+    weather, colony, loop = weather_for(scenario), scenario.colony, scenario.settings
+    patches = derive_patches(grid, loop.patch_params)
+    steps, bounds = loop.control_grid_steps, loop.bounds
+
+    def fresh(ctrl, log=None):
+        return run_season(
+            grid, patches, weather, ctrl, colony, loop.scout_cadence_days,
+            scenario.scout, seed, loop.cap_h(ctrl), log=log,
+        )
+
+    def axis(hi):
+        return [hi * i / (steps - 1) for i in range(steps)]
+
+    strongest = EnvControl(bounds.max_temp_uplift, bounds.max_extra_light_h, colony.season)
+    base = WalkLog()
+    fresh(strongest, base)
+    assert len(base.cells) == scenario.scout.steps(loop.fi_cap_h) == 384
+    controls = [
+        EnvControl(uplift, extra, colony.season)
+        for uplift in axis(bounds.max_temp_uplift)
+        for extra in axis(bounds.max_extra_light_h)
+    ]
+    assert len(controls) == 49 and controls[-1] == strongest
+    for ctrl in [None, *controls]:
+        log = WalkLog(base)
+        assert fresh(ctrl, log) == fresh(ctrl), ctrl
+        assert log.resumed_at == max(base.states) == len(base.cells)
