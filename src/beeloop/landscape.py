@@ -144,10 +144,12 @@ class RegionTiling:
 def parse_map(text: str) -> CellGrid:
     """Parse map text into a validated CellGrid.
 
-    Raises NoHive, MultipleHives, RaggedRows or UnknownSymbol with the
-    offending line/column in the message.
+    A ``#`` line holding ``=`` before the grid rows is a header. The one
+    header is ``cell_size_m``, at most once; any other key, or a second
+    ``cell_size_m``, is UnknownSymbol. Raises NoHive, MultipleHives,
+    RaggedRows or UnknownSymbol with the offending line/column in the message.
     """
-    cell_size = DEFAULT_CELL_SIZE_M
+    cell_size = None
     lines = text.splitlines()
     grid_rows: list[str] = []
     row_lines: list[int] = []
@@ -155,13 +157,16 @@ def parse_map(text: str) -> CellGrid:
         line = raw.rstrip("\r")
         if not grid_rows and line.startswith("#") and "=" in line:
             key, _, value = line.lstrip("#").partition("=")
-            if key.strip() == "cell_size_m":
-                try:
-                    cell_size = float(value.strip())
-                except ValueError:
-                    raise UnknownSymbolError(
-                        f"bad cell_size_m value {value.strip()!r} at line {lineno}"
-                    )
+            if key.strip() != "cell_size_m" or cell_size is not None:
+                raise UnknownSymbolError(
+                    f"unknown or repeated map header {key.strip()!r} at line {lineno}"
+                )
+            try:
+                cell_size = float(value.strip())
+            except ValueError:
+                raise UnknownSymbolError(
+                    f"bad cell_size_m value {value.strip()!r} at line {lineno}"
+                )
             continue
         if not line.strip():
             continue
@@ -199,6 +204,7 @@ def parse_map(text: str) -> CellGrid:
         )
     if not hives.size:
         raise NoHiveError("map contains no hive cell")
+    cell_size = DEFAULT_CELL_SIZE_M if cell_size is None else cell_size
     if not (cell_size > 0 and math.isfinite(cell_size)):
         raise UnknownSymbolError(f"cell_size_m must be positive and finite, got {cell_size}")
     cells = kinds.reshape(len(grid_rows), width)

@@ -396,6 +396,15 @@ def test_non_finite_cell_size_rejected(tmp_path, capsys, cell_size):
         assert_one_error(capsys, "UnknownSymbol", out)
 
 
+def test_unknown_map_header_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, n_scouts=10)
+    path = tmp_path / "field.map"
+    path.write_text("# cellsize_m = 100\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["baseline", "--config", str(config), "--out", str(out)]) != 0
+    assert_one_error(capsys, "UnknownSymbol", out)
+
+
 @pytest.mark.parametrize("row", ["42,warm,8.0", "42,18.0,", "4.2e1,18.0,8.0"])
 def test_non_numeric_weather_field_rejected(tmp_path, capsys, row):
     lines = ["day,max_temp_c,sunshine_h"]

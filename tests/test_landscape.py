@@ -93,6 +93,16 @@ def test_bad_cell_size_header_rejected():
         parse_map("# cell_size_m = banana\n.H.\n")
 
 
+@pytest.mark.parametrize(
+    "headers",
+    ["# cellsize_m = 100\n", "# cell_size_m = 50\n# cell_size_m = 200\n"],
+    ids=["unknown_key", "repeated_key"],
+)
+def test_unknown_or_repeated_map_header_rejected(headers):
+    with pytest.raises(UnknownSymbolError, match="at line"):
+        parse_map(headers + ".H.\n")
+
+
 def test_roundtrip_serialize_parse(desk_grid):
     assert parse_map(serialize_map(desk_grid)) == desk_grid
 
