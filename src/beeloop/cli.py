@@ -90,9 +90,10 @@ def cmd_fi(scenario, dump_paths: bool = False) -> int:
 def _read_season_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     """Rows of a season export, each holding an integer ``day`` and ``columns``.
 
-    A missing file, a missing column, a row of the wrong width or a day that
-    is not an integer, or bytes that are not UTF-8, are a MissingArtifacts
-    error.
+    A missing file, a missing column, a row of the wrong width, a day that
+    is not an integer or is repeated, a requested ``total_visits`` that is
+    not a non-negative integer, or bytes that are not UTF-8, are a
+    MissingArtifacts error.
     """
     if not path.is_file():
         raise MissingArtifactsError(f"missing season export: {path}")
@@ -103,13 +104,23 @@ def _read_season_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str
         raise MissingArtifactsError(f"{path} has no column {missing[0]!r}")
     rows = [line.split(",") for line in lines[1:]]
     day = header.index("day")
+    visits = header.index("total_visits") if "total_visits" in columns else None
+    line_of_day: dict[int, int] = {}
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise MissingArtifactsError(f"{path} line {lineno} has {len(row)} fields")
         try:
-            int(row[day])
+            d = int(row[day])
         except ValueError:
             raise MissingArtifactsError(f"{path} line {lineno} has day {row[day]!r}")
+        if d in line_of_day:
+            raise MissingArtifactsError(f"{path} lines {line_of_day[d]} and {lineno} hold day {d}")
+        line_of_day[d] = lineno
+        # What ``write_season_csv`` writes: ASCII digits, no sign or point.
+        if visits is not None and not (row[visits].isascii() and row[visits].isdigit()):
+            raise MissingArtifactsError(
+                f"{path} line {lineno} has total_visits {row[visits]!r}"
+            )
     return [dict(zip(header, row)) for row in rows]
 
 
