@@ -176,7 +176,11 @@ def run_season(
     trajectories are the paths of the first refresh whose day has foraging
     hours. A non-empty season window must lie within the weather year.
     ``log`` goes to the walk: it records it, and resumes it from its base's
-    walk if it has one.
+    walk if it has one. A control sets only the refresh step counts, so with
+    ``log=WalkLog(base)``, ``base`` recorded on the same grid and patches to
+    at least this season's longest refresh, the season under any control is
+    a read of ``base``'s walk: it resumes at ``base``'s last saved state and
+    walks no step.
     """
     if scout_cadence_days < 1:
         raise ValueError("scout_cadence_days must be >= 1")

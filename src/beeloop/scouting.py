@@ -36,9 +36,11 @@ episodes (``_Rows``) and the retries (``_retry``).
 
 A run is fully determined by (grid, patches, params, hours, seed), and a
 longer run with the same seed is an exact prefix-extension of a shorter one.
-A walk can resume from its predecessor's ``WalkLog``; that class and
-``WalkLog._begin`` state what a resumed walk reuses. Only the feedback loop
-passes logs, so a plain walk pays for none of this.
+A walk can resume from an earlier walk's ``WalkLog``; that class and
+``WalkLog._begin`` state what a resumed walk reuses. The feedback loop
+resumes each candidate from its incumbent's log, and a log also reads its
+walk under another control (see ``WalkLog``). A walk without a log pays for
+none of this.
 """
 
 from __future__ import annotations
@@ -247,6 +249,11 @@ class WalkLog:
     or exists in only one. They pick both the keys rebuilt and the resume
     step. A beacon that an added one renumbers keeps its key: it is renamed,
     and its ids are rewritten, not rebuilt.
+
+    With no moved patch the resume step is ``base``'s last saved state, its
+    last step. A walk that stops there walks no step: it is a read of
+    ``base``'s walk, which is how a season under another control, whose
+    checkpoints alone differ, reads one recorded walk.
     """
 
     def __init__(self, base: WalkLog | None = None):
