@@ -508,37 +508,35 @@ def test_train_monitor_non_integer_day_rejected(tmp_path, capsys, day):
     assert_one_error(capsys, "MissingArtifacts", out)
 
 
-def twelve_days(visits_of_day=lambda d: str(10 + d), day_of_row=lambda d: d):
-    """A season export of days 130..141 that a monitor can be fitted on."""
-    rows = [f"{day_of_row(d)},9.0,10,1.0,{visits_of_day(d)},3,0.5" for d in range(130, 142)]
-    return "\n".join([SEASON_HEADER, *rows]) + "\n"
+def twelve_days(rows: dict[int, str]) -> str:
+    """A season export of days 130..141, enough to fit a monitor on; the
+    row of each day in ``rows`` is written as given there."""
+    lines = [rows.get(d, f"{d},9.0,10,1.0,{10 + d},3,0.5") for d in range(130, 142)]
+    return "\n".join([SEASON_HEADER, *lines]) + "\n"
+
+
+REPEATED_DAY = twelve_days({136: "135,9.0,10,1.0,146,3,0.5"})
 
 
 def test_report_repeated_day_rejected(tmp_path, capsys):
-    (tmp_path / "season_baseline.csv").write_text(twelve_days(), encoding="utf-8")
-    repeated = twelve_days(day_of_row=lambda d: 135 if d == 136 else d)
-    (tmp_path / "season_fi.csv").write_text(repeated, encoding="utf-8")
+    (tmp_path / "season_baseline.csv").write_text(twelve_days({}), encoding="utf-8")
+    (tmp_path / "season_fi.csv").write_text(REPEATED_DAY, encoding="utf-8")
     assert main(["report", str(tmp_path)]) != 0
     assert_one_error(capsys, "MissingArtifacts", tmp_path / "report.csv")
 
 
-def test_train_monitor_repeated_day_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "export",
+    [
+        REPEATED_DAY,
+        *(twelve_days({135: f"135,9.0,10,1.0,{v},3,0.5"}) for v in ("abc", "-5", "12.5")),
+    ],
+    ids=["repeated_day", "visits_abc", "visits_negative", "visits_fraction"],
+)
+def test_train_monitor_bad_day_or_visits_rejected(tmp_path, capsys, export):
     config = write_config(tmp_path, n_scouts=10)
     season = tmp_path / "season.csv"
-    season.write_text(twelve_days(day_of_row=lambda d: 135 if d == 136 else d), encoding="utf-8")
-    out = tmp_path / "x"
-    code = main(["train-monitor", "--config", str(config), "--out", str(out),
-                 "--season", str(season)])
-    assert code != 0
-    assert_one_error(capsys, "MissingArtifacts", out)
-
-
-@pytest.mark.parametrize("visits", ["abc", "-5", "12.5"])
-def test_train_monitor_non_count_visits_rejected(tmp_path, capsys, visits):
-    config = write_config(tmp_path, n_scouts=10)
-    season = tmp_path / "season.csv"
-    text = twelve_days(visits_of_day=lambda d: visits if d == 135 else str(10 + d))
-    season.write_text(text, encoding="utf-8")
+    season.write_text(export, encoding="utf-8")
     out = tmp_path / "x"
     code = main(["train-monitor", "--config", str(config), "--out", str(out),
                  "--season", str(season)])
