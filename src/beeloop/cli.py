@@ -91,9 +91,8 @@ def _read_season_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str
     """Rows of a season export, each holding an integer ``day`` and ``columns``.
 
     A missing file, a missing column, a row of the wrong width, a day that
-    is not an integer or is repeated, a requested ``total_visits`` that is
-    not a non-negative integer, or bytes that are not UTF-8, are a
-    MissingArtifacts error.
+    is repeated, a day or a requested ``total_visits`` that is not plain
+    ASCII digits, or bytes that are not UTF-8, are a MissingArtifacts error.
     """
     if not path.is_file():
         raise MissingArtifactsError(f"missing season export: {path}")
@@ -103,24 +102,20 @@ def _read_season_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str
     if missing:
         raise MissingArtifactsError(f"{path} has no column {missing[0]!r}")
     rows = [line.split(",") for line in lines[1:]]
-    day = header.index("day")
-    visits = header.index("total_visits") if "total_visits" in columns else None
+    digits = {c: header.index(c) for c in ["day", *columns] if c in ("day", "total_visits")}
     line_of_day: dict[int, int] = {}
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise MissingArtifactsError(f"{path} line {lineno} has {len(row)} fields")
-        try:
-            d = int(row[day])
-        except ValueError:
-            raise MissingArtifactsError(f"{path} line {lineno} has day {row[day]!r}")
+        # What ``write_season_csv`` writes: ASCII digits, no sign, space,
+        # underscore or point.
+        for name, i in digits.items():
+            if not (row[i].isascii() and row[i].isdigit()):
+                raise MissingArtifactsError(f"{path} line {lineno} has {name} {row[i]!r}")
+        d = int(row[digits["day"]])
         if d in line_of_day:
             raise MissingArtifactsError(f"{path} lines {line_of_day[d]} and {lineno} hold day {d}")
         line_of_day[d] = lineno
-        # What ``write_season_csv`` writes: ASCII digits, no sign or point.
-        if visits is not None and not (row[visits].isascii() and row[visits].isdigit()):
-            raise MissingArtifactsError(
-                f"{path} line {lineno} has total_visits {row[visits]!r}"
-            )
     return [dict(zip(header, row)) for row in rows]
 
 

@@ -488,7 +488,7 @@ def test_train_monitor_day_outside_year_rejected(tmp_path, capsys):
     assert_one_error(capsys, "OutOfRangeValue", out)
 
 
-@pytest.mark.parametrize("day", ["x", "4.5", ""])
+@pytest.mark.parametrize("day", ["x", "4.5", "", "1_30", " 130", "+130", "١٣٠"])
 def test_report_non_integer_day_rejected(tmp_path, capsys, day):
     write_season(tmp_path / "season_baseline.csv", SEASON_HEADER, "130,9.0,10,1.0,10,3,0.5")
     write_season(tmp_path / "season_fi.csv", SEASON_HEADER, f"{day},9.0,10,1.0,10,3,0.5")
@@ -496,7 +496,7 @@ def test_report_non_integer_day_rejected(tmp_path, capsys, day):
     assert_one_error(capsys, "MissingArtifacts", tmp_path / "report.csv")
 
 
-@pytest.mark.parametrize("day", ["x", "4.5", ""])
+@pytest.mark.parametrize("day", ["x", "4.5", "", "1_30", " 130", "+130", "١٣٠"])
 def test_train_monitor_non_integer_day_rejected(tmp_path, capsys, day):
     config = write_config(tmp_path, n_scouts=10)
     season = tmp_path / "season.csv"
