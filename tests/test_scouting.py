@@ -583,6 +583,32 @@ def test_fresh_pairs_match_row_difference(entries, moves):
                                                                 prev_flat)
 
 
+@pytest.mark.parametrize(
+    "rows, n_cells, moves",
+    [
+        # A 12-id row; cell 1 shares three of its ids, cell 2 none.
+        ({0: list(range(0, 24, 2)), 1: [4, 10, 11, 22, 30], 2: [7]}, 3,
+         [(0, 1), (1, 0), (0, 3), (2, 0), (0, 2), (0, 0)]),
+        # Ids up to 2**31 - 1; cells 0 and 2 hold the same single id.
+        ({0: [2**31 - 1], 1: [0, 2**31 - 2, 2**31 - 1], 2: [2**31 - 1], 3: [2**31 - 2]}, 4,
+         [(1, 0), (0, 1), (2, 0), (3, 1), (1, 4), (3, 2)]),
+        # No keys at all.
+        ({}, 4, [(0, 4), (1, 0), (4, 2)]),
+    ],
+    ids=["wide_row", "int32_ids", "empty"],
+)
+def test_fresh_pairs_on_wide_rows_large_ids_and_no_keys(rows, n_cells, moves):
+    """The cases the drawn maps above miss: rows far wider than 5 ids, ids
+    at the top of the int32 range, and a map with no keys, which gives no
+    pairs."""
+    keys = np.array(sorted(c << 32 | j for c, ids in rows.items() for j in ids),
+                    dtype=np.int64)
+    flat, prev_flat = zip(*moves)
+    want = brute_fresh(rows, flat, prev_flat)
+    assert fresh_pairs(keys, n_cells, flat, prev_flat) == want
+    assert want or not rows
+
+
 EDGE_ROWS = ["Y....YY", "Y..#...", "...H..A", "A......", "YY...YA"]
 
 
