@@ -141,10 +141,10 @@ def build_sensing_map(grid: CellGrid, patches: list[Patch], radius: float) -> np
     """Sorted distinct int64 keys ``cell << 32 | id``: flat cell, patch id sensed there.
 
     A patch is sensed on every cell within ``radius`` cells of one of its
-    members. The 32-bit id field needs fewer than 2**31 cells and fewer than
-    2**32 patch ids. Members are expanded ``_SENSING_CHUNK`` (member, offset)
-    entries at a time, so each int64 temporary of the expansion holds at
-    most 256 KiB and memory follows the keys, not members times offsets.
+    members. The 32-bit id field needs fewer than 2**31 cells; patch ids index
+    dense per-walk arrays, so they fit ``_Rows``'s int32 table. ``_SENSING_CHUNK``
+    (member, offset) entries are expanded at a time, so each int64 temporary
+    holds at most 256 KiB and memory follows the keys, not members times offsets.
     """
     # No offset longer than the grid's larger side lands on the grid, so the
     # cap leaves every row as it is and bounds the offsets of a huge radius.
@@ -310,9 +310,10 @@ class WalkLog:
 
 
 class _Rows:
-    """A sensing map read by cell: cell c's row, the ids sensed there, is
-    ``keys[start[c]:start[c] + length[c]]``. Cell ``n_cells`` has an empty
-    row: the "previous cell" of every scout before step 1.
+    """A sensing map as a table of (n_cells + 1) x widest int32 ids, one column
+    at least: ``ids[c]`` holds cell c's patch ids in ascending order, padded
+    with -1. Cell ``n_cells`` has an empty row: the "previous cell" of every
+    scout before step 1.
 
     A cell's signature is the id of a one-id row, else a value above every id
     that is unique to the cell. A scout can newly sense a patch only where its
@@ -320,36 +321,27 @@ class _Rows:
     """
 
     def __init__(self, keys: np.ndarray, n_cells: int):
-        self.keys = keys
-        self.length = np.bincount(keys >> 32, minlength=n_cells + 1)
-        self.start = np.cumsum(self.length) - self.length
-        self.widest = int(self.length.max())
-        self.signature = np.arange(n_cells + 1, dtype=np.int64) + (1 << 32)
-        single = (self.length == 1).nonzero()[0]
-        self.signature[single] = keys[self.start[single]] & _ID_MASK
+        cell = keys >> 32
+        count = np.bincount(cell, minlength=n_cells + 1)
+        # A key's column: its index less that of its row's first key.
+        column = np.arange(cell.size) - (np.cumsum(count) - count)[cell]
+        self.ids = np.full((n_cells + 1, count.max(initial=1)), -1, dtype=np.int32)
+        self.ids[cell, column] = keys & _ID_MASK
+        del cell, column  # so that the signature's temporaries add no new peak
+        unique = np.arange(n_cells + 1, dtype=np.int64) + (1 << 32)
+        self.signature = np.where(count == 1, self.ids[:, 0], unique)
 
     def fresh(self, flat, prev_flat):
         """(scout, patch id) for each id of a scout's row at ``flat`` missing
         from its row at ``prev_flat``, in (scout, id) order."""
         moved = (self.signature[flat] != self.signature[prev_flat]).nonzero()[0]
-        cells = flat[moved]
-        counts = self.length[cells]
-        sensed = counts > 0
-        moved, cells, counts = moved[sensed], cells[sensed], counts[sensed]
-        if not moved.size:
-            return moved, moved
-        ends = np.cumsum(counts)
-        pos = np.repeat(self.start[cells] - ends + counts, counts) + np.arange(ends[-1])
-        scout, pid = np.repeat(moved, counts), self.keys[pos] & _ID_MASK
-        # A pair is fresh unless its key, moved to the scout's previous cell,
-        # is in that cell's row. A read past the row holds another cell's
-        # key, or one of the row's own where the clip holds it.
-        prev = prev_flat[scout]
-        was_start, was_key = self.start[prev], prev << 32 | pid
-        fresh = np.ones(scout.size, dtype=bool)
-        for j in range(self.widest):
-            fresh &= self.keys.take(was_start + j, mode="clip") != was_key
-        return scout[fresh], pid[fresh]
+        # ``take``: at 10 000 scouts, ``fresh`` with ``[]`` indexing takes 1.5 times as long.
+        now = self.ids.take(flat[moved], axis=0)
+        fresh = now >= 0
+        for was in self.ids.take(prev_flat[moved], axis=0).T:
+            fresh &= now != was[:, None]
+        scout, column = fresh.nonzero()
+        return moved[scout], now[scout, column]
 
 
 def _beyond_leash(dx, dy, leash):
