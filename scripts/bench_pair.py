@@ -34,6 +34,7 @@ it ran on.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import os
@@ -147,6 +148,8 @@ def main() -> int:
             "cpus": os.cpu_count(),
             "machine": platform.machine(),
             "python": platform.python_version(),
+            # The pinned digests and every timing follow numpy's float math.
+            "numpy": importlib.metadata.version("numpy"),
         },
         "workloads": {},
     }
