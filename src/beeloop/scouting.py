@@ -184,19 +184,14 @@ def _draw_key(patch: Patch) -> int:
 
 
 def _match(old: dict, new: dict):
-    """Two walks' patches, each by draw key, matched: ``(moved, to_new,
-    added)``, or None where the match would reorder ids.
+    """Two walks' patches, each by draw key, matched: ``(to_new, added)``.
 
-    ``moved`` and ``to_new`` are indexed by old id: the patches that differ
-    or are gone, and each id's new id. ``added`` holds the new patches that
-    differ or are new. A patch under the same key with equal fields but a new
-    id is renamed, not moved. A scout locks onto the lowest id it detects, so
-    renaming must keep the order of ids, as ``derive_patches``'s scan-order
-    ids do.
+    ``to_new`` is indexed by old id: the patch's new id where its key holds
+    an equal patch under any id, -1 where the patch moved or is gone.
+    ``added`` holds the new patches that differ or are new.
     """
     size = max((p.id for p in chain(old.values(), new.values())), default=0) + 1
-    moved, to_new, added = np.zeros(size, dtype=bool), np.arange(size), []
-    renamed = False
+    to_new, added = np.arange(size), []
     for k, p in new.items():
         q = old.get(k)
         # ``is`` first: a candidate shares its unchanged patches with its base,
@@ -204,19 +199,15 @@ def _match(old: dict, new: dict):
         if q is p or q == p:
             continue
         if q is not None and replace(q, id=p.id) == p:
-            to_new[q.id], renamed = p.id, True
+            to_new[q.id] = p.id
             continue
         added.append(p)
         if q is not None:
-            moved[q.id] = True
+            to_new[q.id] = -1
     for k, q in old.items():
         if k not in new:
-            moved[q.id] = True
-    if renamed:
-        kept = sorted(q.id for q in old.values() if not moved[q.id])
-        if (np.diff(to_new[kept]) <= 0).any():
-            return None
-    return moved, to_new if renamed else None, added
+            to_new[q.id] = -1
+    return to_new, added
 
 
 class WalkLog:
@@ -244,11 +235,11 @@ class WalkLog:
       that ``build_sensing_map`` gives.
 
     It also keeps the walk's patches by draw key (``_draw_key``) and the key a
-    resume is checked against. One rule decides a resume: the moved patches,
-    those whose key holds a different patch in ``base``'s walk and this one,
-    or exists in only one. They pick both the keys rebuilt and the resume
-    step. A beacon that an added one renumbers keeps its key: it is renamed,
-    and its ids are rewritten, not rebuilt.
+    resume is checked against. One id map decides a resume (``_match``): a
+    kept patch, whose key holds an equal patch in both walks, maps to its new
+    id; a moved one, whose key holds a different patch or exists in only one
+    walk, maps to -1. The moved patches pick both the keys rebuilt and the
+    resume step; everything else carried over passes through the map.
 
     With no moved patch the resume step is ``base``'s last saved state, its
     last step. A walk that stops there walks no step: it is a read of
@@ -262,13 +253,17 @@ class WalkLog:
     def _begin(self, grid, patches, params, seed, obstacles):
         """Build the walk's sensing map; take over ``base``'s prefix if it can.
 
-        Returns the keys and the resume step r. The keys are ``base``'s
-        without those that hold a moved patch, renamed ids rewritten, with
-        the keys of this walk's moved patches inserted in order. r is the last
-        state saved before a scout of ``base`` first stands on a cell that
-        holds a moved patch in either walk's map, so detections up to r hold
-        no moved patch. The prefix's first-detection steps and targets move
-        to the renamed ids.
+        Returns the keys and the resume step r. The keys are ``base``'s kept
+        keys under their new ids, with the keys of this walk's moved patches
+        inserted in order. r is the last state saved before a scout of
+        ``base`` first stands on a cell that holds a moved patch in either
+        walk's map, so detections up to r hold kept patches only; the
+        prefix's first-detection steps and targets take their new ids.
+
+        The walk runs from step 0 on a map built whole when there is no
+        matching base, or when the new ids reorder some cell's row: a scout
+        locks onto the lowest id it detects, so that alone could change its
+        walk, and the keys inserted into must stay sorted.
         """
         radius = params.detection_radius
         key = (seed, params, grid.width, grid.height, grid.cell_size, grid.hive_cell,
@@ -276,18 +271,16 @@ class WalkLog:
         base, self.base = self.base, None  # released: logs do not chain
         self.key, self.patches = key, {_draw_key(p): p for p in patches}
         self.resumed_at, self.states, self.cells, self.found_at = 0, {}, None, None
-        match = None if base is None or base.key != key else _match(base.patches, self.patches)
-        if match is None:
+        kept = None
+        if base is not None and base.key == key:
+            to_new, added = _match(base.patches, self.patches)
+            # A moved patch's id maps to -1, which has every bit set.
+            mapped = to_new[base.rows & _ID_MASK] | base.rows & ~_ID_MASK
+            gone = mapped < 0
+            kept = mapped[~gone]
+        if kept is None or (kept[1:] <= kept[:-1]).any():
             self.rows = build_sensing_map(grid, patches, radius)
             return self.rows, 0
-        moved, to_new, added = match
-        gone = moved[base.rows & _ID_MASK]
-        kept = base.rows[~gone]
-        if to_new is not None:  # in place: the renaming keeps the keys sorted
-            pid = kept & _ID_MASK
-            at = np.flatnonzero(to_new[pid] != pid)
-            kept[at] += to_new[pid[at]] - pid[at]
-            del pid
         added = build_sensing_map(grid, added, radius)
         self.rows = np.insert(kept, np.searchsorted(kept, added), added)
         changed = np.zeros(grid.width * grid.height, dtype=bool)
@@ -296,14 +289,12 @@ class WalkLog:
         first = int(touched[0]) + 1 if touched.size else len(base.cells) + 1
         start = self.resumed_at = max(s for s in base.states if s < first)
         self.cells = base.cells[:start]
-        self.found_at = np.where(base.found_at <= start, base.found_at, 0)
-        self.states = {s: state for s, state in base.states.items() if s <= start}
-        if to_new is not None:
-            # Only kept or renamed patches are detected or targeted by r.
-            found = self.found_at.nonzero()[0]
-            self.found_at = np.zeros(to_new.size, dtype=np.int32)
-            self.found_at[to_new[found]] = base.found_at[found]
-            for s, (x, y, heading, target, dwell, rng) in self.states.items():
+        # Only kept patches are detected or targeted by r.
+        found = np.flatnonzero((base.found_at > 0) & (base.found_at <= start))
+        self.found_at = np.zeros(to_new.size, dtype=np.int32)
+        self.found_at[to_new[found]] = base.found_at[found]
+        for s, (x, y, heading, target, dwell, rng) in base.states.items():
+            if s <= start:
                 target = np.where(target >= 0, to_new[target], -1)
                 self.states[s] = (x, y, heading, target, dwell, rng)
         return self.rows, start
@@ -505,7 +496,7 @@ def simulate_at_checkpoints(
         x, y, heading, target, dwell, rng_state = (a.copy() for a in log.states[start])
         move_rng.bit_generator.state = rng_state
         prev_flat = log.cells[start - 1].astype(np.int64)
-        # Ids detected by the resume step are kept or renamed, so below n_ids.
+        # Ids detected by the resume step are kept patches', so below n_ids.
         prior = log.found_at[:n_ids]
         found_at[: prior.size] = prior
     elif log is not None:

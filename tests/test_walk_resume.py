@@ -316,6 +316,24 @@ def test_renaming_that_reorders_ids_walks_everything():
     assert log.resumed_at == 0
 
 
+def test_swap_of_ids_that_share_no_row_resumes():
+    """Two beacons that share no sensing row swap ids. No cell's row changes
+    its order, so no scout can lock onto another patch: the walk resumes at
+    the log's last saved state and carries the first detection of beacon
+    245, found at step 66, over to its new id 246."""
+    grid, patches = landscape([(HIVE_X - 10, HIVE_Y - 8), (HIVE_X + 12, HIVE_Y + 9)])
+    inc_log = WalkLog()
+    simulate_at_checkpoints(grid, patches, SCOUTS, [100], 0, log=inc_log)
+    a, b = patches[-2:]
+    assert (a.id, b.id) == (245, 246) and inc_log.found_at[245] == 66
+    swapped = patches[:-2] + [replace(a, id=b.id), replace(b, id=a.id)]
+    log = WalkLog(inc_log)
+    resumed = simulate_at_checkpoints(grid, swapped, SCOUTS, [50, 100], 0, log=log)
+    assert resumed == simulate_at_checkpoints(grid, swapped, SCOUTS, [50, 100], 0)
+    assert log.resumed_at == max(inc_log.states) == 100
+    assert 246 in resumed.detected_patch_ids
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_every_grid_control_season_is_a_read_of_one_log(seed):
     """A season under any control is a read of one log: the desk season
