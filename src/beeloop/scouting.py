@@ -306,9 +306,9 @@ class _Rows:
     with -1. Cell ``n_cells`` has an empty row: the "previous cell" of every
     scout before step 1.
 
-    A cell's signature is the id of a one-id row, else a value above every id
-    that is unique to the cell. A scout can newly sense a patch only where its
-    signature changes onto a non-empty row.
+    A cell's signature is the id of a one-id row, -1 for every empty row, else
+    a value above every id that is unique to the cell. A scout can newly sense
+    a patch only where its signature changes onto a non-empty row.
     """
 
     def __init__(self, keys: np.ndarray, n_cells: int):
@@ -320,7 +320,7 @@ class _Rows:
         self.ids[cell, column] = keys & _ID_MASK
         del cell, column  # so that the signature's temporaries add no new peak
         unique = np.arange(n_cells + 1, dtype=np.int64) + (1 << 32)
-        self.signature = np.where(count == 1, self.ids[:, 0], unique)
+        self.signature = np.where(count <= 1, self.ids[:, 0], unique)
 
     def fresh(self, flat, prev_flat):
         """(scout, patch id) for each id of a scout's row at ``flat`` missing

@@ -571,6 +571,16 @@ def test_signature_change_decides_new_episodes():
     ]
 
 
+def test_empty_rows_share_one_signature():
+    """On the map of ``test_signature_change_decides_new_episodes``, the
+    empty cell 4 and the empty row 5 before step 1 share a signature, so a
+    scout moving between two empty rows skips the row gathers."""
+    keys = np.array([0 << 32 | 5, 1 << 32 | 5, 2 << 32 | 3, 2 << 32 | 5, 3 << 32 | 7])
+    signature = scouting._Rows(keys, 5).signature
+    assert signature[4] == signature[5] == -1
+    assert len(set(signature[[0, 2, 3, 4]].tolist())) == 4
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     entries=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 4)), max_size=25),
