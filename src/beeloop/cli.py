@@ -13,7 +13,8 @@ from pathlib import Path
 
 from . import config as config_mod
 from .control import pretrained_softmax, write_labels_csv, write_proposals_csv
-from .errors import MissingArtifactsError, SimError, read_utf8, write_utf8
+from .errors import MissingArtifactsError, OutOfRangeValueError, SimError
+from .errors import plain_number, read_utf8, write_utf8
 from .foraging import SEASON_COLUMNS, run_season, write_season_csv, write_totals
 from .landscape import derive_patches, load_map, write_foodflow
 from .metrics import compare, write_comparison_csv
@@ -153,6 +154,14 @@ def cmd_train_monitor(scenario, season_csv: Path | None) -> int:
     return 0
 
 
+def _seed(text: str | None) -> int | None:
+    """``--seed``'s integer; load_scenario checks its range."""
+    try:
+        return None if text is None else plain_number(text, int)
+    except ValueError:
+        raise OutOfRangeValueError(f"seed must be an integer in [0, 2**64), got {text!r}")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beeloop",
@@ -162,7 +171,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name in ("baseline", "fi", "train-monitor"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=default_config_path())
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", default=None, help="override config seed")
         p.add_argument("--out", type=Path, default=None, help="override output directory")
         if name in ("baseline", "fi"):
             p.add_argument("--dump-paths", action="store_true")
@@ -178,7 +187,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.run_dir)
-        scenario = config_mod.load_scenario(args.config, args.seed, args.out)
+        scenario = config_mod.load_scenario(args.config, _seed(args.seed), args.out)
         if args.command == "baseline":
             return cmd_baseline(scenario, args.dump_paths)
         if args.command == "fi":

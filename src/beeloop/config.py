@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .control import CoverageLabel, PlacementPolicy, ThresholdClassifier
 from .errors import ConfigError, MapNotFoundError, OutOfRangeValueError, WeatherNotFoundError
-from .errors import read_utf8
+from .errors import plain_number, read_utf8
 from .foraging import ColonyParams
 from .landscape import PatchParams
 from .scouting import ScoutParams
@@ -22,8 +22,12 @@ from .supervisor import ControlBounds, LoopSettings, UserConfig
 from .weather import ClimateProfile, WeatherSeries, load_weather, synth_weather
 
 
+def _int(raw: str) -> int:
+    return plain_number(raw, int)
+
+
 def _float(raw: str) -> float:
-    value = float(raw)
+    value = plain_number(raw)
     if not math.isfinite(value):
         raise ValueError(raw)
     return value
@@ -47,35 +51,35 @@ def _label(raw: str) -> CoverageLabel:
 # dataclass field it sets; the keys of a section go to the fields of the same
 # name, after the renames below.
 _SECTIONS = {
-    "scenario": {"map": str, "seed": int, "out": str, "classifier": str},
+    "scenario": {"map": str, "seed": _int, "out": str, "classifier": str},
     "weather": {
         "source": str, "file": str, "temp_mean_c": _float, "temp_amplitude_c": _float,
         "temp_noise_c": _float, "sunshine_mean_h": _float, "sunshine_amplitude_h": _float,
-        "sunshine_noise_h": _float, "peak_day": int,
+        "sunshine_noise_h": _float, "peak_day": _int,
     },
     "landscape": {
         "kappa": _float, "nectar_per_m2": _float, "pollen_per_m2": _float,
         "artificial_detect": _float, "artificial_nectar_fraction": _float,
     },
     "scouting": {
-        "n_scouts": int, "steps_per_hour": int, "step_length": _float, "turn_sigma": _float,
-        "max_range_m": _float, "detection_radius": _float, "dwell_steps": int,
+        "n_scouts": _int, "steps_per_hour": _int, "step_length": _float, "turn_sigma": _float,
+        "max_range_m": _float, "detection_radius": _float, "dwell_steps": _int,
         "bias_sigma": _float,
     },
     "foraging": {
-        "initial_workers": int, "forager_fraction": _float,
-        "trips_per_forager_hour": _float, "patches_per_trip": int, "season_start": int,
-        "season_end": int, "scout_cadence_days": int,
+        "initial_workers": _int, "forager_fraction": _float,
+        "trips_per_forager_hour": _float, "patches_per_trip": _int, "season_start": _int,
+        "season_end": _int, "scout_cadence_days": _int,
         "base_cap_h": _float, "fi_cap_h": _float,
     },
     "control": {
-        "low_cut": _float, "high_cut": _float, "region_rows": int, "region_cols": int,
+        "low_cut": _float, "high_cut": _float, "region_rows": _int, "region_cols": _int,
         "waypoint_fraction": _float, "search_radius": _float,
     },
     "supervisor": {
-        "required_label": _label, "max_artificial_patches": int, "max_iterations": int,
+        "required_label": _label, "max_artificial_patches": _int, "max_iterations": _int,
         "loss_tolerance": _float, "w1": _float, "w2": _float, "max_temp_uplift": _float,
-        "max_extra_light_h": _float, "control_grid_steps": int, "refit_each_iteration": _bool,
+        "max_extra_light_h": _float, "control_grid_steps": _int, "refit_each_iteration": _bool,
     },
 }
 _RENAMES = {"max_range_m": "max_range", "refit_each_iteration": "refit_monitor_each_iteration"}

@@ -2,8 +2,8 @@
 
 Every error carries a stable machine-readable ``code`` so the CLI can report
 exactly one error name on stderr and tests can match on it. ``read_utf8``
-reads a text input and ``write_utf8`` writes every artifact: UTF-8, LF line
-ends.
+reads a text input, ``plain_number`` a number in it, and ``write_utf8``
+writes every artifact: UTF-8, LF line ends.
 """
 
 
@@ -23,6 +23,17 @@ def read_utf8(path, error: type[SimError]) -> str:
             return fh.read()
     except UnicodeDecodeError as err:
         raise error(f"{path} is not UTF-8: byte {err.start} {err.reason}") from None
+
+
+def plain_number(raw: str, kind=float):
+    """``kind(raw)`` for ASCII text without ``_``; ValueError otherwise.
+
+    ``int`` and ``float`` alone also read ``_`` digit separators and other
+    scripts' digits, so ``1_50`` and the Arabic-Indic ``١٥٠`` would alias 150.
+    """
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return kind(raw)
 
 
 def write_utf8(path, lines) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateDayError, MissingDayError, OutOfRangeValueError
+from .errors import DuplicateDayError, MissingDayError, OutOfRangeValueError, plain_number
 from .rng import generator
 
 import math
@@ -97,7 +97,9 @@ def load_weather(text: str) -> WeatherSeries:
         if len(parts) != 3:
             raise OutOfRangeValueError(f"bad weather row: {ln!r}")
         try:
-            day, temp, sun = int(parts[0]), float(parts[1]), float(parts[2])
+            if not (parts[0].isascii() and parts[0].isdigit()):
+                raise ValueError(parts[0])
+            day, temp, sun = int(parts[0]), plain_number(parts[1]), plain_number(parts[2])
         except ValueError:
             raise OutOfRangeValueError(f"non-numeric weather row: {ln!r}")
         if day in by_day:

@@ -292,7 +292,7 @@ def test_dump_paths_header_only_without_active_refresh(tmp_path):
 
 def test_seed_outside_u64_rejected(tmp_path, capsys):
     config = write_config(tmp_path, n_scouts=10)
-    for seed in (-5, 2**64):
+    for seed in (-5, 2**64, "4_2", "٤٢", "abc"):
         code = main(["baseline", "--config", str(config), "--seed", str(seed),
                      "--out", str(tmp_path / "x")])
         assert code != 0
@@ -347,6 +347,12 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
         {"max_extra_light_h": -1},
         {"max_temp_uplift": 1e308},
         {"max_extra_light_h": 24.5},
+        "[scouting]\nstep_length = ٠.٨",
+        "[scouting]\nstep_length = 0.8_0",
+        "[scouting]\nsteps_per_hour = 2_4",
+        "[scouting]\ndwell_steps = １０",
+        {"seed": "4_2"},
+        {"max_iterations": "٢"},
     ],
     ids=["base_cap_30", "fi_cap_0", "cadence_0", "grid_steps_0", "nan_step", "nan_weights",
          "inf_step", "inf_radius", "inf_range", "huge_bias_sigma", "huge_dwell",
@@ -355,7 +361,9 @@ def assert_one_error(capsys, code: str, out: Path) -> None:
          "retired_reference_distance", "inf_trip_rate", "huge_trip_rate", "inf_search_radius",
          "negative_search_radius",
          "waypoint_above_1", "inf_tolerance", "inf_uplift", "negative_uplift",
-         "negative_light", "huge_uplift", "light_above_24"],
+         "negative_light", "huge_uplift", "light_above_24", "arabic_indic_float",
+         "underscore_float", "underscore_int", "fullwidth_int", "underscore_seed",
+         "arabic_indic_int"],
 )
 def test_bad_scenario_value_fails_at_load(tmp_path, capsys, extra):
     """``extra`` is a config fragment to append, or ``write_config`` overrides
@@ -405,7 +413,9 @@ def test_unknown_map_header_rejected(tmp_path, capsys):
     assert_one_error(capsys, "UnknownSymbol", out)
 
 
-@pytest.mark.parametrize("row", ["42,warm,8.0", "42,18.0,", "4.2e1,18.0,8.0"])
+@pytest.mark.parametrize("row", ["42,warm,8.0", "42,18.0,", "4.2e1,18.0,8.0", "4_2,18.0,8.0",
+                                 "٤٢,18.0,8.0", "+42,18.0,8.0", " 42,18.0,8.0",
+                                 "42,1_8.0,8.0", "42,١٨,8.0"])
 def test_non_numeric_weather_field_rejected(tmp_path, capsys, row):
     lines = ["day,max_temp_c,sunshine_h"]
     lines += [row if d == 42 else f"{d},18.0,8.0" for d in range(1, 366)]
