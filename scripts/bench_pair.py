@@ -8,8 +8,8 @@ seed, one pair per seed. The side that runs first alternates from pair to
 pair, so a drift in machine speed does not favour either side. It writes the
 per-side values, median and quartiles of every end-to-end metric listed in
 ``BENCHMARK.json``, in how many pairs the working tree was better, the median
-of the per-pair working-tree/base ratios, a verdict and a gain, to one JSON
-file:
+of the per-pair working-tree/base ratios, a verdict, a gain and a
+regression, to one JSON file:
 
     python scripts/bench_pair.py --base HEAD --seeds 1:10 --seconds 10 --out BENCH.json
 
@@ -23,7 +23,11 @@ run beats every base run. ``no_worse``: any other case. The ``worse`` and
 The gain reads ``met`` when the working tree is better in at least nine
 tenths of the pairs, ties counting for neither side, and its median beats
 the base median by more than the base runs' interquartile range; otherwise
-``not_met``.
+``not_met``. The regression applies the same rule the other way: ``met``
+when the working tree is worse in at least nine tenths of the pairs and its
+median is worse by more than the base IQR. It flags a consistent slowdown
+that stays inside the bound, which the verdict lets pass; such metrics are
+also printed to stderr.
 
 The two runs of a pair follow each other, so their ratio cancels a drift in
 machine speed between pairs, which the median of each side does not. Compare
@@ -188,11 +192,15 @@ def main() -> int:
                     ),
                     "verdict": verdict(base, change, m["bound"], lower),
                     "gain": gain(base, change, lower),
+                    "regression": gain(base, change, not lower),
                 }
             out["workloads"][workload] = entry
             for name, result in entry["metrics"].items():
-                if result["verdict"] != "no_worse":
-                    print(f"{workload} {name}: {result['verdict']} (median "
+                flags = [result["verdict"]] if result["verdict"] != "no_worse" else []
+                if result["regression"] == "met":
+                    flags.append("regression")
+                if flags:
+                    print(f"{workload} {name}: {', '.join(flags)} (median "
                           f"{result['base']['median']:.6g} -> {result['change']['median']:.6g}, "
                           f"base IQR {result['base']['iqr']:.6g}, bound {metrics[name]['bound']})",
                           file=sys.stderr)

@@ -193,6 +193,48 @@ def test_bench_pair_gains(monkeypatch, tmp_path):
     assert module.gain([1.0] * 4, [0.5, 0.5, 0.5, 1.0], lower=True) == "not_met"
 
 
+def test_bench_pair_regressions(monkeypatch, tmp_path, capsys):
+    """A regression is a gain the other way, on the runs of ``test_bench_pair_gains``:
+    only ``job_s_p50`` is worse in every pair and by more than the base IQR.
+    A regression inside the bound is flagged on stderr beside the verdicts."""
+    module = load_script("bench_pair.py")
+    runs = {
+        "job_s_p50": {"base": [1.0] * 4, "change": [1.5] * 4},
+        "setup_s": {"base": [0.5, 1.0, 1.5, 2.0], "change": [1.0, 1.2, 1.3, 1.4]},
+        "seeds_per_min": {"base": [100.0] * 4, "change": [110.0] * 4},
+        "peak_rss_mb": {"base": [50.0, 60.0, 70.0, 80.0], "change": [40.0, 41.0, 42.0, 43.0]},
+    }
+
+    def fake_bench(root, workload, seed, seconds, side):
+        values = {name: {"value": v[side][seed - 1]} for name, v in runs.items()}
+        return {"correct": True, "failed": 0, "metrics": values}
+
+    monkeypatch.setattr(module, "unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module, "bench", fake_bench)
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--base", "HEAD", "--workload", "desk_case",
+        "--seeds", "1:4", "--seconds", "1", "--out", str(out),
+    ])
+    assert module.main() == 0
+    metrics = json.loads(out.read_text(encoding="utf-8"))["workloads"]["desk_case"]["metrics"]
+    assert {name: m["regression"] for name, m in metrics.items()} == {
+        "job_s_p50": "met", "setup_s": "not_met",
+        "seeds_per_min": "not_met", "peak_rss_mb": "not_met",
+    }
+    # 5% slower in every pair: inside the 25% bound, but a regression
+    runs["job_s_p50"]["change"] = [1.05] * 4
+    assert module.main() == 0
+    metrics = json.loads(out.read_text(encoding="utf-8"))["workloads"]["desk_case"]["metrics"]
+    assert (metrics["job_s_p50"]["verdict"], metrics["job_s_p50"]["regression"]) == (
+        "no_worse", "met")
+    flagged = [line for line in capsys.readouterr().err.splitlines() if "(median" in line]
+    assert [line.split(" (")[0] for line in flagged] == [
+        "desk_case setup_s: unresolved", "desk_case job_s_p50: worse, regression",
+        "desk_case setup_s: unresolved", "desk_case job_s_p50: regression",
+    ]
+
+
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden" / "artifact_digests.txt"
 
 
