@@ -275,9 +275,10 @@ class WalkLog:
         if base is not None and base.key == key:
             to_new, added = _match(base.patches, self.patches)
             # A moved patch's id maps to -1, which has every bit set.
-            mapped = to_new[base.rows & _ID_MASK] | base.rows & ~_ID_MASK
-            gone = mapped < 0
-            kept = mapped[~gone]
+            kept = to_new[base.rows & _ID_MASK]
+            kept |= base.rows & ~_ID_MASK
+            gone = kept < 0
+            kept = kept[~gone]
         if kept is None or (kept[1:] <= kept[:-1]).any():
             self.rows = build_sensing_map(grid, patches, radius)
             return self.rows, 0
